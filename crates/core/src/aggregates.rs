@@ -11,13 +11,15 @@
 //! homomorphisms that may have distinct costs), so [`AggregateSolver::admits`]
 //! keys on [`PreparedQuery::counting_widths`] and evaluation runs on
 //! [`PreparedQuery::original`] with the counting certificates.  The solvers
-//! reuse the compiled counting programs (`tree_count` / `forest_count`
+//! reuse the compiled counting programs (`tree_count` / `search_original`
 //! kernel slots): a compiled program is semiring-agnostic, only the run
 //! differs.
 //!
-//! Tiers mirror [`crate::CountMethod`] and are reported as such:
-//! forest sum–product (bounded tree depth), tree-decomposition DP (bounded
-//! treewidth), exhaustive search (no structural guarantee).
+//! Tiers mirror [`crate::CountRegistry::standard`] and are reported as
+//! [`crate::CountMethod`]s: the tree-decomposition DP (bounded treewidth),
+//! then exhaustive search (no structural guarantee).  The weighted forest
+//! sum–product stays in the kernel as the Theorem 6.1 (3) reference
+//! (`aggregate_with_forest_indexed`, measured by E20), not as a tier.
 
 use crate::counting::CountMethod;
 use crate::engine::EngineConfig;
@@ -91,43 +93,6 @@ pub trait AggregateSolver: Send + Sync {
         weights: &TupleWeights,
         objective: AggregateObjective,
     ) -> Option<u64>;
-}
-
-/// Weighted sum–product over the original query's elimination forest —
-/// the bounded-tree-depth tier, reusing the `forest_count` kernel program.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ForestAggregateSolver;
-
-impl AggregateSolver for ForestAggregateSolver {
-    fn name(&self) -> &'static str {
-        "elimination-forest weighted sum-product"
-    }
-
-    fn method(&self) -> CountMethod {
-        CountMethod::ForestSumProduct
-    }
-
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool {
-        query.counting_widths().treedepth <= config.treedepth_threshold
-    }
-
-    fn evaluate(
-        &self,
-        query: &PreparedQuery,
-        _database: &Structure,
-        index: &StructureIndex,
-        weights: &TupleWeights,
-        objective: AggregateObjective,
-    ) -> Option<u64> {
-        match objective {
-            AggregateObjective::MinCost => {
-                query.aggregate_via_forest::<MinCostSemiring>(index, weights)
-            }
-            AggregateObjective::MaxWeight => {
-                query.aggregate_via_forest::<MaxWeightSemiring>(index, weights)
-            }
-        }
-    }
 }
 
 /// Weighted DP over the original query's tree decomposition — the
@@ -218,11 +183,10 @@ pub struct AggregateRegistry {
 
 impl AggregateRegistry {
     /// The standard tier order (mirrors [`crate::CountRegistry::standard`]):
-    /// forest sum–product, tree DP, exhaustive search.
+    /// tree DP, then exhaustive search.
     pub fn standard() -> AggregateRegistry {
         AggregateRegistry {
             solvers: vec![
-                Box::new(ForestAggregateSolver),
                 Box::new(TreeDecAggregateSolver),
                 Box::new(SearchAggregateSolver),
             ],
@@ -290,8 +254,8 @@ mod tests {
         let cfg = EngineConfig::default();
         let registry = AggregateRegistry::standard();
         let cases = [
-            (families::star(5), CountMethod::ForestSumProduct),
-            // P9's own tree depth exceeds the threshold; its treewidth is 1.
+            (families::star(5), CountMethod::TreeDecompositionDp),
+            // P9 cores to an edge; its own treewidth is 1.
             (families::path(9), CountMethod::TreeDecompositionDp),
             (families::clique(5), CountMethod::BruteForce),
         ];
@@ -346,12 +310,12 @@ mod tests {
     #[test]
     fn without_removes_a_tier() {
         let cfg = EngineConfig::default();
-        let registry = AggregateRegistry::standard().without(CountMethod::ForestSumProduct);
-        assert_eq!(registry.len(), 2);
+        let registry = AggregateRegistry::standard().without(CountMethod::TreeDecompositionDp);
+        assert_eq!(registry.len(), 1);
         assert!(!registry.is_empty());
         let q = prepared(&families::star(5));
         let s = registry.select(&q, &cfg).expect("fallback admits");
-        assert_eq!(s.method(), CountMethod::TreeDecompositionDp);
+        assert_eq!(s.method(), CountMethod::BruteForce);
         assert!(AggregateRegistry::new(Vec::new()).is_empty());
     }
 }

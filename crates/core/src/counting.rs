@@ -12,15 +12,21 @@
 //! [`PreparedQuery::original`] with the original-structure certificates of
 //! [`PreparedQuery::counting_analysis`].
 //!
-//! The standard registry order follows the theorem's algorithmic tiers:
+//! The standard registry counts through two tiers:
 //!
-//! 1. [`ForestCountSolver`] — the sum–product recursion over the
-//!    elimination forest (Theorem 6.1 (3), bounded tree depth);
-//! 2. [`TreeDecCountSolver`] — the extension-counting DP over the tree
+//! 1. [`TreeDecCountSolver`] — the extension-counting DP over the tree
 //!    decomposition (the tractable tier of the counting classification,
-//!    bounded treewidth);
-//! 3. [`BruteForceCountSolver`] — exhaustive enumeration, admitting every
+//!    bounded treewidth).  It covers every query the forest tier admits
+//!    (tree depth bounds treewidth), and on a delta-maintained index its
+//!    retained tables answer an unchanged version without bag work;
+//! 2. [`BruteForceCountSolver`] — exhaustive enumeration, admitting every
 //!    query, so a registry walk always terminates.
+//!
+//! [`ForestCountSolver`] — the sum–product recursion over the elimination
+//! forest (Theorem 6.1 (3), bounded tree depth) — is not in the standard
+//! order: it is the reference for the theorem's space bound, measured by
+//! the E16/E20 benches and available to forest-first ablation registries
+//! through [`CountRegistry::new`].
 //!
 //! Ablations are registry edits ([`CountRegistry::without`],
 //! [`CountRegistry::new`]), exactly as for decision.
@@ -120,16 +126,6 @@ impl std::fmt::Display for CountOutcome {
     }
 }
 
-/// What one counting-solver invocation produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CountEvaluation {
-    /// The number of homomorphisms, or a typed overflow.
-    pub outcome: CountOutcome,
-    /// A solver-specific work figure for the experiment reports; `None`
-    /// when the solver meters nothing.
-    pub work: Option<u64>,
-}
-
 /// What the engine did and found on one counting instance.
 ///
 /// `PartialEq`/`Eq` so batch results can be compared wholesale — the
@@ -181,13 +177,14 @@ pub trait CountSolver: Send + Sync {
         query: &PreparedQuery,
         database: &Structure,
         index: &StructureIndex,
-    ) -> CountEvaluation;
+    ) -> CountOutcome;
 }
 
 /// Sum–product counting over the original query's elimination forest
 /// (Theorem 6.1 (3)): for bounded tree depth the recursion
 /// `N_{r→b} = Π_i Σ_{b'} N_{t_i→b'}` counts with one image per ancestor in
-/// memory.
+/// memory.  Not in [`CountRegistry::standard`]: it is the theorem's
+/// reference and an ablation solver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ForestCountSolver;
 
@@ -209,12 +206,8 @@ impl CountSolver for ForestCountSolver {
         query: &PreparedQuery,
         _database: &Structure,
         index: &StructureIndex,
-    ) -> CountEvaluation {
-        let run = query.count_via_forest(index);
-        CountEvaluation {
-            outcome: run.count.into(),
-            work: Some(run.assignments),
-        }
+    ) -> CountOutcome {
+        query.count_via_forest(index).count.into()
     }
 }
 
@@ -241,12 +234,8 @@ impl CountSolver for TreeDecCountSolver {
         query: &PreparedQuery,
         _database: &Structure,
         index: &StructureIndex,
-    ) -> CountEvaluation {
-        let run = query.count_via_tree(index);
-        CountEvaluation {
-            outcome: run.count.into(),
-            work: Some(run.peak_table as u64),
-        }
+    ) -> CountOutcome {
+        query.count_via_tree(index).count.into()
     }
 }
 
@@ -273,20 +262,14 @@ impl CountSolver for BruteForceCountSolver {
         query: &PreparedQuery,
         database: &Structure,
         _index: &StructureIndex,
-    ) -> CountEvaluation {
+    ) -> CountOutcome {
         // Deliberately the un-indexed reference enumeration: this solver
         // doubles as the oracle of the counting differential tests.  The
         // underlying search hoists its symbol translation once per call and
         // visits complete assignments by reference, so the enumeration runs
         // with no per-assignment map allocation while staying
         // reference-pure.
-        let count = count_homomorphisms_bruteforce(query.original(), database);
-        CountEvaluation {
-            outcome: CountOutcome::Exact(count),
-            // Enumeration visits each homomorphism once: the count is the
-            // work.
-            work: Some(count),
-        }
+        CountOutcome::Exact(count_homomorphisms_bruteforce(query.original(), database))
     }
 }
 
@@ -297,12 +280,11 @@ pub struct CountRegistry {
 }
 
 impl CountRegistry {
-    /// The standard order of Theorem 6.1: forest sum–product (bounded tree
-    /// depth), then the tree-DP (bounded treewidth), then brute force.
+    /// The standard order: the tree DP (bounded treewidth), then brute
+    /// force.
     pub fn standard() -> CountRegistry {
         CountRegistry {
             solvers: vec![
-                Box::new(ForestCountSolver),
                 Box::new(TreeDecCountSolver),
                 Box::new(BruteForceCountSolver),
             ],
@@ -320,11 +302,6 @@ impl CountRegistry {
     pub fn without(mut self, method: CountMethod) -> CountRegistry {
         self.solvers.retain(|s| s.method() != method);
         self
-    }
-
-    /// Append a solver at the lowest priority.
-    pub fn push(&mut self, solver: Box<dyn CountSolver>) {
-        self.solvers.push(solver);
     }
 
     /// The first solver admitting the query, in priority order.
@@ -385,10 +362,9 @@ mod tests {
         let cfg = EngineConfig::default();
         let registry = CountRegistry::standard();
         let cases = [
-            (families::star(5), CountMethod::ForestSumProduct),
-            // P9 cores to an edge, but counting keys on the original: tree
-            // depth of P9 is 4 (above the threshold 3) while its treewidth
-            // is 1.
+            (families::star(5), CountMethod::TreeDecompositionDp),
+            // P9 cores to an edge, but counting keys on the original: its
+            // treewidth is 1.
             (families::path(9), CountMethod::TreeDecompositionDp),
             (families::clique(5), CountMethod::BruteForce),
         ];
@@ -402,11 +378,11 @@ mod tests {
     #[test]
     fn without_removes_a_tier_and_dispatch_falls_through() {
         let cfg = EngineConfig::default();
-        let registry = CountRegistry::standard().without(CountMethod::ForestSumProduct);
-        assert_eq!(registry.len(), 2);
+        let registry = CountRegistry::standard().without(CountMethod::TreeDecompositionDp);
+        assert_eq!(registry.len(), 1);
         let q = prepared(&families::star(5));
         let s = registry.select(&q, &cfg).expect("fallback admits");
-        assert_eq!(s.method(), CountMethod::TreeDecompositionDp);
+        assert_eq!(s.method(), CountMethod::BruteForce);
     }
 
     #[test]
@@ -420,7 +396,11 @@ mod tests {
 
     #[test]
     fn all_registry_solvers_agree_with_the_reference() {
-        let registry = CountRegistry::standard();
+        let registry = CountRegistry::new(vec![
+            Box::new(ForestCountSolver),
+            Box::new(TreeDecCountSolver),
+            Box::new(BruteForceCountSolver),
+        ]);
         // Queries every solver admits, including one with a proper core
         // (P4): the counts must be those of the original structure.
         for a in [families::star(3), families::path(4)] {
@@ -430,7 +410,7 @@ mod tests {
                 let index = StructureIndex::new(&b);
                 for s in registry.solvers() {
                     assert_eq!(
-                        s.count(&q, &b, &index).outcome,
+                        s.count(&q, &b, &index),
                         expected,
                         "{} on {a} -> {b}",
                         s.name()

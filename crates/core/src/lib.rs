@@ -29,8 +29,9 @@
 //!     path-decomposition sweep / tree-decomposition DP / backtracking),
 //!     where ablations (experiment E12) are registry edits;
 //!   - [`counting`] / [`CountSolver`] — the Theorem 6.1 counting analogue:
-//!     a priority-ordered [`CountRegistry`] (elimination-forest sum–product
-//!     / tree-decomposition counting DP / brute force) dispatching on the
+//!     a priority-ordered [`CountRegistry`] (tree-decomposition counting
+//!     DP / brute force, with the elimination-forest sum–product kept as
+//!     the [`ForestCountSolver`] reference) dispatching on the
 //!     **original** query's widths, because counting — unlike decision —
 //!     is not invariant under taking cores;
 //!   - [`answers`] — free-variable answers: [`Engine::count_answers`]
@@ -73,13 +74,13 @@ use cq_graphs::gaifman_graph;
 use cq_structures::{core_of, Structure};
 
 pub use aggregates::{
-    AggregateObjective, AggregateRegistry, AggregateReport, AggregateSolver, ForestAggregateSolver,
-    SearchAggregateSolver, TreeDecAggregateSolver,
+    AggregateObjective, AggregateRegistry, AggregateReport, AggregateSolver, SearchAggregateSolver,
+    TreeDecAggregateSolver,
 };
 pub use answers::{AnswerCountReport, AnswerMethod, AnswerPage};
 pub use counting::{
-    count_instance, BruteForceCountSolver, CountEvaluation, CountMethod, CountOutcome,
-    CountRegistry, CountReport, CountSolver, ForestCountSolver, TreeDecCountSolver,
+    count_instance, BruteForceCountSolver, CountMethod, CountOutcome, CountRegistry, CountReport,
+    CountSolver, ForestCountSolver, TreeDecCountSolver,
 };
 pub use engine::{solve_instance, EngineConfig, EngineReport, SolverChoice};
 pub use persist::{

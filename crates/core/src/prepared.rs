@@ -45,7 +45,7 @@ use cq_structures::{
     core_of, embedding_exists, homomorphism_exists, Element, Structure, StructureIndex,
     TupleWeights,
 };
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Cap on memoized count-verified relabelled forms per plan (a client
 /// cycling more distinct orderings than this re-verifies the overflow
@@ -82,8 +82,13 @@ const MAX_ANSWER_PROGRAMS: usize = 4;
 /// [`TreeDpProgram::eval_retained`]: after [`crate::Engine::apply_delta`]
 /// mutates the index in place, the next tree-DP decide/count patches or
 /// selectively recomputes only the bags a touched relation reaches instead
-/// of re-running the whole DP.  `try_lock` keeps concurrent evaluations
-/// wait-free: a contended caller falls back to a plain stateless pass.
+/// of re-running the whole DP, and a repeat evaluation of an unchanged
+/// version reads the retained root without bag work.  Tables live only on
+/// delta-maintained indexes ([`StructureIndex::version`] `> 0`, see
+/// [`retained_slot`]): a never-mutated index runs the stateless pass, so a
+/// fleet of read-only databases pins no tables it could never patch.
+/// `try_lock` keeps concurrent evaluations wait-free: a contended caller
+/// falls back to a plain stateless pass.
 #[derive(Default)]
 struct IndexKernels {
     tree_decide: OnceLock<TreeDpProgram>,
@@ -141,6 +146,20 @@ impl std::fmt::Debug for IndexKernels {
             )
             .finish()
     }
+}
+
+/// The retained-table slot a tree-DP evaluation against `index` may use:
+/// `None` — run the stateless pass — when the index has never taken an
+/// in-place delta (its tables could never be patched) or when a concurrent
+/// evaluation holds the slot.
+fn retained_slot<'a, V>(
+    slot: &'a Mutex<Option<TreeIncrementalState<V>>>,
+    index: &StructureIndex,
+) -> Option<MutexGuard<'a, Option<TreeIncrementalState<V>>>> {
+    if index.version() == 0 {
+        return None;
+    }
+    slot.try_lock().ok()
 }
 
 /// A query prepared for repeated evaluation: the core, its Gaifman graph,
@@ -405,20 +424,20 @@ impl PreparedQuery {
     /// Decide through the kernel tree DP (treewidth tier), compiling the
     /// [`TreeDpProgram`] on first use against this index.
     ///
-    /// Evaluation is **retained**: the per-edge DP join tables of the last
-    /// run stay on the bundle, so after an in-place
-    /// [`crate::Engine::apply_delta`] only the bags whose constraints
-    /// mention a touched relation re-run (Bool is not invertible, so dirty
-    /// bags recompute rather than patch — see the bundle field docs for
-    /// why that beats a `CheckedNat` decide state).  A concurrent
-    /// evaluation holding the retained state falls back to a plain
-    /// stateless pass.
+    /// On a delta-maintained index evaluation is **retained**: the per-edge
+    /// DP join tables of the last run stay on the bundle, so after an
+    /// in-place [`crate::Engine::apply_delta`] only the bags whose
+    /// constraints mention a touched relation re-run (Bool is not
+    /// invertible, so dirty bags recompute rather than patch — see the
+    /// bundle field docs for why that beats a `CheckedNat` decide state).
+    /// A never-mutated index, or a concurrent evaluation holding the
+    /// retained state, gets a plain stateless pass.
     pub fn decide_via_tree(&self, index: &StructureIndex) -> TreeDpRun {
         let kernels = self.kernels_for(index);
         let program = kernels.tree_decide.get_or_init(|| {
             TreeDpProgram::compile(&self.evaluated, index, &self.analysis.tree_decomposition)
         });
-        if let Ok(mut state) = kernels.tree_decide_retained.try_lock() {
+        if let Some(mut state) = retained_slot(&kernels.tree_decide_retained, index) {
             let (exists, stats) = program.eval_retained::<BoolSemiring>(index, &mut state);
             return TreeDpRun {
                 exists,
@@ -447,9 +466,11 @@ impl PreparedQuery {
             .run(index)
     }
 
-    /// Count through the kernel forest sum–product (Theorem 6.1 (3)),
-    /// compiling the [`ForestProgram`] of the **original** structure with
-    /// the counting certificates on first use against this index.
+    /// Count through the kernel forest sum–product (Theorem 6.1 (3)) — the
+    /// [`crate::ForestCountSolver`] reference, outside the standard
+    /// registry — compiling the [`ForestProgram`] of the **original**
+    /// structure with the counting certificates on first use against this
+    /// index.
     pub fn count_via_forest(&self, index: &StructureIndex) -> ForestRun {
         self.kernels_for(index)
             .forest_count
@@ -479,7 +500,7 @@ impl PreparedQuery {
                 &self.counting_analysis().tree_decomposition,
             )
         });
-        if let Ok(mut state) = kernels.tree_count_retained.try_lock() {
+        if let Some(mut state) = retained_slot(&kernels.tree_count_retained, index) {
             let (count, stats) = program.eval_retained::<CheckedNatSemiring>(index, &mut state);
             return TreeDpRun {
                 exists: count.positive(),
@@ -526,33 +547,10 @@ impl PreparedQuery {
     }
 
     /// Weighted ⊕-aggregate (min-cost, max-weight, …) through the kernel
-    /// forest sum–product.  Aggregates, like counts, are **not**
-    /// core-invariant, so this reuses the semiring-agnostic
-    /// `forest_count` program — compiled from the **original** structure
-    /// with the counting certificates — and only the weights change per
-    /// call.
-    pub fn aggregate_via_forest<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        weights: &TupleWeights,
-    ) -> S::Value {
-        let mut assignments = 0u64;
-        self.kernels_for(index)
-            .forest_count
-            .get_or_init(|| {
-                ForestProgram::compile(
-                    &self.original,
-                    index,
-                    &self.counting_analysis().elimination_forest,
-                )
-            })
-            .eval::<S>(index, Some(weights), &mut assignments)
-    }
-
-    /// Weighted ⊕-aggregate through the kernel tree DP, reusing the
-    /// `tree_count` program (original structure, counting certificates) —
-    /// see [`Self::aggregate_via_forest`] for why aggregates share the
-    /// counting programs, never the decision ones.
+    /// tree DP.  Aggregates, like counts, are **not** core-invariant, so
+    /// this reuses the semiring-agnostic `tree_count` program — compiled
+    /// from the **original** structure with the counting certificates —
+    /// and only the weights change per call.
     pub fn aggregate_via_tree<S: Semiring>(
         &self,
         index: &StructureIndex,
@@ -965,10 +963,6 @@ mod tests {
         let weights = TupleWeights::uniform(&k3, 1);
         let expected_cost = Some(a.tuple_count() as u64);
         assert_eq!(
-            q.aggregate_via_forest::<cq_solver::MinCostSemiring>(&index, &weights),
-            expected_cost
-        );
-        assert_eq!(
             q.aggregate_via_tree::<cq_solver::MinCostSemiring>(&index, &weights),
             expected_cost
         );
@@ -1057,26 +1051,35 @@ mod tests {
         };
         check(&index);
         let warm_bundle = bundle_of(&index);
-        assert!(warm_bundle
-            .tree_count_retained
-            .try_lock()
-            .unwrap()
-            .is_some());
+        // A never-mutated index runs the stateless passes: no tables are
+        // retained for a database that may never take a delta.
+        fn retained_version<V>(slot: &Mutex<Option<TreeIncrementalState<V>>>) -> Option<u64> {
+            slot.lock().unwrap().as_ref().map(|t| t.version())
+        }
+        assert_eq!(index.version(), 0);
+        assert_eq!(retained_version(&warm_bundle.tree_count_retained), None);
+        assert_eq!(retained_version(&warm_bundle.tree_decide_retained), None);
         let epoch = index.domain_epoch();
 
-        // Same-epoch churn (delete one K4 edge): every touched element keeps
-        // nonempty postings, so the warm bundle — `OnceLock` slots compile
-        // at most once — keeps serving, with retained tables resynced to the
-        // new index version.
-        let mut churn = DeltaBatch::new();
-        churn.delete(e, vec![0, 1]);
-        index.apply_delta(&churn).unwrap();
-        assert_eq!(index.domain_epoch(), epoch);
-        check(&index);
-        assert!(Arc::ptr_eq(&warm_bundle, &bundle_of(&index)));
-        let retained = warm_bundle.tree_count_retained.try_lock().unwrap();
-        assert_eq!(retained.as_ref().unwrap().version(), index.version());
-        drop(retained);
+        // Same-epoch churn (delete one K4 edge, then reinsert it): every
+        // touched element keeps nonempty postings, so the warm bundle —
+        // `OnceLock` slots compile at most once — keeps serving, now with
+        // retained tables synced to each new index version.
+        for delete in [true, false] {
+            let mut churn = DeltaBatch::new();
+            if delete {
+                churn.delete(e, vec![0, 1]);
+            } else {
+                churn.insert(e, vec![0, 1]);
+            }
+            index.apply_delta(&churn).unwrap();
+            assert_eq!(index.domain_epoch(), epoch);
+            check(&index);
+            assert!(Arc::ptr_eq(&warm_bundle, &bundle_of(&index)));
+            let synced = Some(index.version());
+            assert_eq!(retained_version(&warm_bundle.tree_count_retained), synced);
+            assert_eq!(retained_version(&warm_bundle.tree_decide_retained), synced);
+        }
 
         // Epoch bump (element 4 gains its first tuples): the baked prefilter
         // domains are stale, so the next evaluation keys a fresh bundle and

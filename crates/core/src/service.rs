@@ -727,19 +727,21 @@ impl InstanceIndexCache {
     ///
     /// A database never seen before is indexed first (that build is the one
     /// exception to "no rebuild" — there is nothing to maintain yet).
-    /// Validation errors leave the cache exactly as it was.
+    /// The batch is validated before any lookup, so a refused batch leaves
+    /// the cache exactly as it was and never copies a shared index.
     fn apply_delta(
         &self,
         database: &Structure,
         batch: &DeltaBatch,
     ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
+        batch.validate(database)?;
         self.lookups.fetch_add(1, Ordering::Relaxed);
         if self.total_capacity == 0 {
             // Caching disabled: mutate a throwaway index so the answer
             // semantics match the cached path.
             self.misses.fetch_add(1, Ordering::Relaxed);
             let mut index = StructureIndex::new(database);
-            let applied = index.apply_delta(batch)?;
+            let applied = index.apply_delta(batch).expect("batch validated above");
             return Ok((Arc::new(index), applied));
         }
         let token = database.content_token();
@@ -783,22 +785,10 @@ impl InstanceIndexCache {
         // earlier DeltaReport) keep their pre-delta snapshot; the clone
         // shares the index identity, so warm programs stay keyed right.
         let mut owned = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-        match owned.apply_delta(batch) {
-            Ok(applied) => {
-                let index = Arc::new(owned);
-                let index = self.insert_slot(hash, index, None);
-                self.alias_record(index.structure().content_token(), hash, &index);
-                Ok((index, applied))
-            }
-            Err(error) => {
-                // Whole-batch validation failed before any mutation: put
-                // the untouched index back.
-                let index = Arc::new(owned);
-                let index = self.insert_slot(hash, index, None);
-                self.alias_record(token, hash, &index);
-                Err(error)
-            }
-        }
+        let applied = owned.apply_delta(batch).expect("batch validated above");
+        let index = self.insert_slot(hash, Arc::new(owned), None);
+        self.alias_record(index.structure().content_token(), hash, &index);
+        Ok((index, applied))
     }
 
     /// The chained form of [`Self::apply_delta`]: the caller hands back the
@@ -815,12 +805,14 @@ impl InstanceIndexCache {
     /// clone per round.
     ///
     /// Never builds an index: even on a full cache miss the caller's own
-    /// index is the thing to mutate.
+    /// index is the thing to mutate.  As in [`Self::apply_delta`], a
+    /// refused batch returns before any lookup.
     fn apply_delta_owned(
         &self,
         caller: Arc<StructureIndex>,
         batch: &DeltaBatch,
     ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
+        batch.validate(caller.structure())?;
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let token = caller.structure().content_token();
         let (hash, arc) = if self.total_capacity == 0 {
@@ -875,28 +867,17 @@ impl InstanceIndexCache {
             }
         };
         let mut owned = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-        match owned.apply_delta(batch) {
-            Ok(applied) => {
-                let index = Arc::new(owned);
-                let index = match hash {
-                    Some(hash) => {
-                        let index = self.insert_slot(hash, index, None);
-                        self.alias_record(index.structure().content_token(), hash, &index);
-                        index
-                    }
-                    None => index,
-                };
-                Ok((index, applied))
+        let applied = owned.apply_delta(batch).expect("batch validated above");
+        let index = Arc::new(owned);
+        let index = match hash {
+            Some(hash) => {
+                let index = self.insert_slot(hash, index, None);
+                self.alias_record(index.structure().content_token(), hash, &index);
+                index
             }
-            Err(error) => {
-                if let Some(hash) = hash {
-                    let index = Arc::new(owned);
-                    let index = self.insert_slot(hash, index, None);
-                    self.alias_record(token, hash, &index);
-                }
-                Err(error)
-            }
-        }
+            None => index,
+        };
+        Ok((index, applied))
     }
 
     fn stats(&self) -> IndexStats {
@@ -1061,17 +1042,6 @@ impl Engine {
     /// The solver registry used for decision dispatch.
     pub fn registry(&self) -> &SolverRegistry {
         &self.registry
-    }
-
-    /// The counting registry used for [`Engine::count_instance`] dispatch.
-    pub fn count_registry(&self) -> &CountRegistry {
-        &self.count_registry
-    }
-
-    /// The aggregate registry used for [`Engine::evaluate_min_cost`] /
-    /// [`Engine::evaluate_max_weight`] dispatch.
-    pub fn aggregate_registry(&self) -> &AggregateRegistry {
-        &self.aggregate_registry
     }
 
     /// The number of cache shards currently configured.
@@ -1344,9 +1314,8 @@ impl Engine {
             .select(plan, &self.config)
             .expect("counting registry has no solver admitting this query (ablated registries must keep a fallback)");
         let index = self.indexes.get(database);
-        let evaluation = solver.count(plan, database, &index);
         CountReport {
-            count: evaluation.outcome,
+            count: solver.count(plan, database, &index),
             method: solver.method(),
             degree_hint: Degree::from_boundedness(
                 widths.treewidth <= self.config.treewidth_threshold,
@@ -1836,13 +1805,14 @@ impl Engine {
         // shard, so a restart warm-starts every fingerprint this engine
         // ever prepared — churned out or not.
         let mut merged = 0u64;
-        if let Some(sink) = &self.eviction {
+        let mut evicted = self.eviction.as_ref().map(|sink| {
+            sink.store
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+        });
+        if let Some(evicted) = evicted.as_deref() {
             let live: std::collections::HashSet<u64> =
                 plans.iter().map(|p| p.fingerprint()).collect();
-            let evicted = sink
-                .store
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
             for record in evicted.records() {
                 if !live.contains(&record.fingerprint()) {
                     store.push_raw_record(record.fingerprint(), record.payload().to_vec());
@@ -1852,6 +1822,12 @@ impl Engine {
             store.sort_by_fingerprint();
         }
         store.write_to(path)?;
+        // The eviction writer flushes under the same lock: adopting the
+        // merged image before unlocking keeps a flush queued earlier from
+        // replacing this file with an image that lacks the live plans.
+        if let Some(evicted) = evicted.as_deref_mut() {
+            *evicted = store;
+        }
         let total = plans.len() as u64 + merged;
         self.prep.plans_saved.fetch_add(total, Ordering::Relaxed);
         Ok(total)
@@ -1961,13 +1937,15 @@ impl Engine {
             std::thread::spawn(move || {
                 // Each wake covers every upsert that preceded it; draining
                 // the queue coalesces a burst of evictions into one write.
+                // Write under the lock (evictions wait for at most one
+                // flush), so no flush lands after a `save_plans` write of
+                // a fuller image.
                 while rx.recv().is_ok() {
                     while rx.try_recv().is_ok() {}
-                    let image = store
+                    let store = store
                         .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .to_bytes();
-                    let _ = crate::persist::write_image_atomic(&path, &image);
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    let _ = crate::persist::write_image_atomic(&path, &store.to_bytes());
                 }
             })
         };
@@ -2347,17 +2325,21 @@ mod tests {
 
     #[test]
     fn ablated_count_registry_changes_method_not_counts() {
+        use crate::{BruteForceCountSolver, ForestCountSolver, TreeDecCountSolver};
         let cfg = EngineConfig::default();
-        let full = Engine::new(cfg);
-        let ablated = Engine::new(cfg)
-            .with_count_registry(CountRegistry::standard().without(CountMethod::ForestSumProduct));
+        let standard = Engine::new(cfg);
+        let forest_first = Engine::new(cfg).with_count_registry(CountRegistry::new(vec![
+            Box::new(ForestCountSolver),
+            Box::new(TreeDecCountSolver),
+            Box::new(BruteForceCountSolver),
+        ]));
         let star = families::star(4);
         for t in [families::clique(3), families::cycle(6)] {
-            let r_full = full.count_instance(&star, &t);
-            let r_ablated = ablated.count_instance(&star, &t);
-            assert_eq!(r_full.method, CountMethod::ForestSumProduct);
-            assert_eq!(r_ablated.method, CountMethod::TreeDecompositionDp);
-            assert_eq!(r_full.count, r_ablated.count);
+            let r_standard = standard.count_instance(&star, &t);
+            let r_forest = forest_first.count_instance(&star, &t);
+            assert_eq!(r_standard.method, CountMethod::TreeDecompositionDp);
+            assert_eq!(r_forest.method, CountMethod::ForestSumProduct);
+            assert_eq!(r_standard.count, r_forest.count);
         }
     }
 
@@ -2558,6 +2540,37 @@ mod tests {
         let entries_before = engine.index_stats().entries;
         assert!(engine.apply_delta(report.database(), &bad).is_err());
         assert_eq!(engine.index_stats().entries, entries_before);
+    }
+
+    #[test]
+    fn refused_delta_leaves_a_shared_index_uncopied() {
+        use cq_structures::DeltaBatch;
+
+        let engine = Engine::new(EngineConfig::default());
+        let db = families::clique(4);
+        let e = db.vocabulary().id_of("E").expect("graph vocabulary");
+        let mut bad = DeltaBatch::new();
+        bad.insert(e, vec![0, 99]);
+        let stats = || {
+            let s = engine.index_stats();
+            (s.lookups, s.misses, s.entries)
+        };
+        // A second holder shares the cached index, so a mutation would
+        // have to copy it: the refusal must come first.
+        let held = engine.instance_index(&db);
+        let before = stats();
+        assert!(engine.apply_delta(&db, &bad).is_err());
+        assert_eq!(stats(), before, "a refused batch left the cache touched");
+        assert!(Arc::ptr_eq(&held, &engine.instance_index(&db)));
+        // The chained form, with a kept clone of the report sharing it.
+        let mut churn = DeltaBatch::new();
+        churn.delete(e, vec![0, 1]);
+        let report = engine.apply_delta(&db, &churn).expect("valid batch");
+        let before = stats();
+        assert!(engine.apply_delta_chained(report.clone(), &bad).is_err());
+        assert_eq!(stats(), before, "a refused batch left the cache touched");
+        let current = engine.instance_index(report.database());
+        assert!(Arc::ptr_eq(report.index(), &current));
     }
 
     #[test]

@@ -11,13 +11,18 @@
 //! in-place index maintenance, the retained-table reuse, or the weight
 //! table maintenance dropped or double-applied part of a delta.
 //!
+//! Warm and cold counts take the same tier (the tree DP, retained only on
+//! the warm side), so each warm count is also checked against
+//! [`count_homomorphisms_bruteforce`], an algorithm that shares nothing
+//! with the DP.
+//!
 //! Weights are a pure function of the tuple **content** (never the row
 //! id), so the incrementally maintained [`TupleWeights`] and the cold
 //! engine's freshly built table must assign every tuple the same weight
 //! even though churn permutes row ids via swap-remove.
 
-use cq_core::{Engine, EngineConfig};
-use cq_structures::{families, Structure, SymbolId, TupleWeights};
+use cq_core::{CountMethod, Engine, EngineConfig};
+use cq_structures::{count_homomorphisms_bruteforce, families, Structure, SymbolId, TupleWeights};
 use cq_workloads::{mutation_traffic, random_digraph_structure, random_graph_structure};
 
 /// Same thresholds as the other differential oracles: every structural
@@ -73,6 +78,7 @@ fn delta_path_agrees_with_a_cold_engine_after_every_round() {
     const ROUNDS: usize = 8;
     const CHURN: f64 = 0.08;
     let mut comparisons = 0usize;
+    let mut tree_dp_counts = 0usize;
     for (label, db, queries) in corpus() {
         let warm = Engine::new(oracle_config());
         let batches = mutation_traffic(&db, ROUNDS, CHURN, 0xA11CE);
@@ -111,13 +117,26 @@ fn delta_path_agrees_with_a_cold_engine_after_every_round() {
                     warm_count.count, cold_count.count,
                     "{label} round {round} query {qi}: delta-path count diverged"
                 );
+                assert_eq!(
+                    warm_count.count,
+                    count_homomorphisms_bruteforce(query, &now),
+                    "{label} round {round} query {qi}: delta-path count wrong"
+                );
+                if warm_count.widths.treewidth <= oracle_config().treewidth_threshold {
+                    assert_eq!(
+                        warm_count.method,
+                        CountMethod::TreeDecompositionDp,
+                        "{label} query {qi}: bounded treewidth must count through the tree DP"
+                    );
+                    tree_dp_counts += 1;
+                }
                 let warm_min = warm.evaluate_min_cost(query, &now, &weights);
                 let cold_min = cold.evaluate_min_cost(query, &now, &cold_weights);
                 assert_eq!(
                     warm_min.value, cold_min.value,
                     "{label} round {round} query {qi}: delta-path min-cost diverged"
                 );
-                comparisons += 3;
+                comparisons += 4;
             }
             report = Some(next);
         }
@@ -125,6 +144,10 @@ fn delta_path_agrees_with_a_cold_engine_after_every_round() {
     assert!(
         comparisons >= 100,
         "only {comparisons} comparisons ran — corpus or traffic degenerated"
+    );
+    assert!(
+        tree_dp_counts >= 40,
+        "only {tree_dp_counts} tree-DP counts ran — corpus degenerated"
     );
 }
 

@@ -6,7 +6,10 @@
 //! `u64::MAX`; the engine must now report a typed
 //! [`CountOutcome::Overflow`], never a clamped number.
 
-use cq_core::{CountMethod, CountOutcome, Engine, EngineConfig};
+use cq_core::{
+    BruteForceCountSolver, CountMethod, CountOutcome, CountRegistry, Engine, EngineConfig,
+    ForestCountSolver, TreeDecCountSolver,
+};
 use cq_structures::families;
 
 #[test]
@@ -26,11 +29,22 @@ fn astronomical_counts_overflow_instead_of_clamping() {
     assert!(report.count.positive());
     assert_eq!(report.count.exact(), None);
 
-    // #hom(star(11), K_100) = 100 · 99^11 ≈ 9e23, through the forest
-    // sum-product tier (a star has treedepth 2).
+    // #hom(star(11), K_100) = 100 · 99^11 ≈ 9e23: the default path counts
+    // it through the tree DP, and a forest-first registry through the
+    // forest sum-product reference (a star has treedepth 2).
     let star = families::star(11);
     let k100 = families::clique(100);
     let report = engine.count_instance(&star, &k100);
+    assert_eq!(report.method, CountMethod::TreeDecompositionDp);
+    assert_eq!(report.count, CountOutcome::Overflow);
+    assert!(report.count.positive());
+    let forest_first =
+        Engine::new(EngineConfig::default()).with_count_registry(CountRegistry::new(vec![
+            Box::new(ForestCountSolver),
+            Box::new(TreeDecCountSolver),
+            Box::new(BruteForceCountSolver),
+        ]));
+    let report = forest_first.count_instance(&star, &k100);
     assert_eq!(report.method, CountMethod::ForestSumProduct);
     assert_eq!(report.count, CountOutcome::Overflow);
     assert!(report.count.positive());

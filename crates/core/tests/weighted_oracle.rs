@@ -14,8 +14,8 @@
 //! shifts some optimum.
 
 use cq_core::{
-    AggregateObjective, AggregateRegistry, AggregateSolver, Engine, EngineConfig,
-    ForestAggregateSolver, PreparedQuery, SearchAggregateSolver, TreeDecAggregateSolver,
+    AggregateObjective, AggregateRegistry, AggregateSolver, Engine, EngineConfig, PreparedQuery,
+    SearchAggregateSolver, TreeDecAggregateSolver,
 };
 use cq_structures::{homomorphisms_iter, Structure, StructureIndex, TupleWeights};
 use cq_workloads::{random_digraph_structure, random_graph_structure, weighted_traffic};
@@ -116,8 +116,7 @@ fn corpus() -> Vec<(String, Structure, Structure)> {
 #[test]
 fn every_aggregate_solver_agrees_with_bruteforce_on_the_corpus() {
     let config = oracle_config();
-    let solvers: [(&str, &dyn AggregateSolver); 3] = [
-        ("ForestAggregateSolver", &ForestAggregateSolver),
+    let solvers: [(&str, &dyn AggregateSolver); 2] = [
         ("TreeDecAggregateSolver", &TreeDecAggregateSolver),
         ("SearchAggregateSolver", &SearchAggregateSolver),
     ];
@@ -251,11 +250,11 @@ fn unsatisfiable_instances_and_ablations_behave() {
     let k4 = families::clique(4);
     let wk4 = test_weights(&k4);
     let full = engine.evaluate_min_cost(&star, &k4, &wk4);
-    assert_eq!(full.method, CountMethod::ForestSumProduct);
+    assert_eq!(full.method, CountMethod::TreeDecompositionDp);
     let ablated_engine = Engine::new(oracle_config()).with_aggregate_registry(
-        AggregateRegistry::standard().without(CountMethod::ForestSumProduct),
+        AggregateRegistry::standard().without(CountMethod::TreeDecompositionDp),
     );
     let ablated = ablated_engine.evaluate_min_cost(&star, &k4, &wk4);
-    assert_eq!(ablated.method, CountMethod::TreeDecompositionDp);
+    assert_eq!(ablated.method, CountMethod::BruteForce);
     assert_eq!(full.value, ablated.value, "ablation changed the optimum");
 }
