@@ -1,16 +1,24 @@
 //! E12 — ablations: core preprocessing on/off, arc consistency on/off, and
-//! solver-registry edits in the dispatch engine.
+//! tier removals in the dispatch engine.
 //!
-//! With the prepared-query engine, solver ablations are **registry edits**
-//! (`SolverRegistry::without`) rather than code forks: the same batch of
-//! instances is driven through engines whose registries differ by one tier,
-//! and the dispatch / answers are compared directly.
+//! With the prepared-query engine, tier ablations are one builder call
+//! (`Engine::without_tier`) rather than code forks: the same batch of
+//! instances is driven through engines whose tier orders differ by one
+//! tier, and the dispatch / answers are compared directly.
 
-use cq_core::{solve_instance, Engine, EngineConfig, SolverChoice, SolverRegistry};
+use cq_core::{solve_instance, Engine, EngineConfig, SolverChoice};
 use cq_solver::backtrack::{BacktrackConfig, BacktrackSolver};
 use cq_structures::families;
 use cq_workloads::database_fleet;
 use criterion::{criterion_group, criterion_main, Criterion};
+
+/// An engine with the standard tiers, minus `removed` when given.
+fn ablated(cfg: EngineConfig, removed: Option<SolverChoice>) -> Engine {
+    match removed {
+        None => Engine::new(cfg),
+        Some(choice) => Engine::new(cfg).without_tier(choice),
+    }
+}
 
 fn bench(c: &mut Criterion) {
     println!("E12: ablation — search effort with and without arc consistency");
@@ -45,12 +53,12 @@ fn bench(c: &mut Criterion) {
         with_core.evaluated_query_size, without_core.evaluated_query_size
     );
 
-    println!("E12: ablation — solver tiers removed by registry edits");
+    println!("E12: ablation — decision tiers removed from the dispatch order");
     let cfg = EngineConfig::default();
     let star = families::star(5);
     let fleet = database_fleet(6, 12, 0.35, 3);
     let ablations: [(&str, Option<SolverChoice>); 3] = [
-        ("full registry", None),
+        ("all tiers", None),
         ("without tree-depth tier", Some(SolverChoice::TreeDepth)),
         (
             "without path-sweep tier",
@@ -58,11 +66,7 @@ fn bench(c: &mut Criterion) {
         ),
     ];
     for (name, removed) in &ablations {
-        let registry = match removed {
-            None => SolverRegistry::standard(&cfg),
-            Some(choice) => SolverRegistry::standard(&cfg).without(*choice),
-        };
-        let engine = Engine::with_registry(cfg, registry);
+        let engine = ablated(cfg, *removed);
         let report = engine.solve(&star, &fleet[0]);
         println!("  {name:<28} star(5) dispatched to {:?}", report.choice);
     }
@@ -89,17 +93,13 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // Registry-edit throughput: the same repeated-query batch through the
-    // full registry and through registries with one tier removed (batch
-    // API, warm cache): how much each licensed tier is worth.
-    let mut g = c.benchmark_group("e12-registry");
+    // Tier-ablation throughput: the same repeated-query batch through all
+    // tiers and through engines with one tier removed (batch API, warm
+    // cache): how much each licensed tier is worth.
+    let mut g = c.benchmark_group("e12-tiers");
     g.sample_size(10);
     for (name, removed) in &ablations {
-        let registry = match removed {
-            None => SolverRegistry::standard(&cfg),
-            Some(choice) => SolverRegistry::standard(&cfg).without(*choice),
-        };
-        let engine = Engine::with_registry(cfg, registry);
+        let engine = ablated(cfg, *removed);
         let id = engine.register(&star);
         let batch: Vec<_> = fleet.iter().map(|db| (id, db)).collect();
         g.bench_function(*name, |bch| {

@@ -1,43 +1,39 @@
-//! The [`CountSolver`] trait and the priority-ordered counting registry —
-//! the counting half of the classification (Theorem 6.1), mirrored on the
-//! decision registry of [`crate::registry`].
+//! Counting through the prepared path — the counting half of the
+//! classification (Theorem 6.1).
 //!
 //! Theorem 6.1 classifies `p-#HOM(A)` by the widths of the class members
 //! **themselves**: counting is not invariant under taking cores (a query
 //! and its proper core have equal decision answers but different counts),
-//! so unlike the decision registry — which keys on the core's widths — a
-//! counting solver's [`CountSolver::admits`] keys on
-//! [`PreparedQuery::counting_widths`], the width profile of the query
-//! exactly as submitted, and its [`CountSolver::count`] runs on
-//! [`PreparedQuery::original`] with the original-structure certificates of
-//! [`PreparedQuery::counting_analysis`].
+//! so unlike the decision tiers of [`crate::SolverChoice`] — which key on
+//! the core's widths — [`CountMethod::admits`] keys on
+//! [`PreparedQuery::counting_widths`](crate::PreparedQuery::counting_widths),
+//! the width profile of the query exactly as submitted, and
+//! [`PreparedQuery::count`](crate::PreparedQuery::count) runs on the
+//! original structure with the original-structure certificates.
 //!
-//! The standard registry counts through two tiers:
+//! The engine counts through two tiers ([`CountMethod::for_widths`]):
 //!
-//! 1. [`TreeDecCountSolver`] — the extension-counting DP over the tree
-//!    decomposition (the tractable tier of the counting classification,
-//!    bounded treewidth).  It covers every query the forest tier admits
-//!    (tree depth bounds treewidth), and on a delta-maintained index its
-//!    retained tables answer an unchanged version without bag work;
-//! 2. [`BruteForceCountSolver`] — exhaustive enumeration, admitting every
-//!    query, so a registry walk always terminates.
+//! 1. [`CountMethod::TreeDecompositionDp`] — the extension-counting DP
+//!    over the tree decomposition (the tractable tier of the counting
+//!    classification, bounded treewidth).  It covers every query the
+//!    forest tier admits (tree depth bounds treewidth), and on a
+//!    delta-maintained index its retained tables answer an unchanged
+//!    version without bag work;
+//! 2. [`CountMethod::BruteForce`] — exhaustive enumeration, admitting
+//!    every query.
 //!
-//! [`ForestCountSolver`] — the sum–product recursion over the elimination
-//! forest (Theorem 6.1 (3), bounded tree depth) — is not in the standard
-//! order: it is the reference for the theorem's space bound, measured by
-//! the E16/E20 benches and available to forest-first ablation registries
-//! through [`CountRegistry::new`].
-//!
-//! Ablations are registry edits ([`CountRegistry::without`],
-//! [`CountRegistry::new`]), exactly as for decision.
+//! [`CountMethod::ForestSumProduct`] — the sum–product recursion over the
+//! elimination forest (Theorem 6.1 (3), bounded tree depth) — is not
+//! dispatched: it is the reference for the theorem's space bound, measured
+//! by the E16/E20 benches and compared against brute force by the counting
+//! oracle.
 
 use crate::engine::EngineConfig;
-use crate::prepared::PreparedQuery;
 use crate::service::Engine;
 use crate::Degree;
 use cq_decomp::WidthProfile;
 use cq_solver::Nat;
-use cq_structures::{count_homomorphisms_bruteforce, Structure, StructureIndex};
+use cq_structures::Structure;
 
 /// Which counting algorithm the engine picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +45,29 @@ pub enum CountMethod {
     TreeDecompositionDp,
     /// Exhaustive enumeration (no structural guarantee).
     BruteForce,
+}
+
+impl CountMethod {
+    /// Whether this tier's structural licence covers a query whose
+    /// **original** structure has the given width profile under `config`'s
+    /// thresholds.
+    pub fn admits(self, widths: WidthProfile, config: &EngineConfig) -> bool {
+        match self {
+            CountMethod::ForestSumProduct => widths.treedepth <= config.treedepth_threshold,
+            CountMethod::TreeDecompositionDp => widths.treewidth <= config.treewidth_threshold,
+            CountMethod::BruteForce => true,
+        }
+    }
+
+    /// The tier the engine counts (and aggregates) through: the tree DP
+    /// within the treewidth threshold, brute force otherwise.
+    pub fn for_widths(widths: WidthProfile, config: &EngineConfig) -> CountMethod {
+        if CountMethod::TreeDecompositionDp.admits(widths, config) {
+            CountMethod::TreeDecompositionDp
+        } else {
+            CountMethod::BruteForce
+        }
+    }
 }
 
 /// A homomorphism count that cannot silently lie: either the exact number,
@@ -144,196 +163,10 @@ pub struct CountReport {
     /// core-invariant.
     pub degree_hint: Degree,
     /// Width profile of the original query (what
-    /// [`CountSolver::admits`] keyed on).
+    /// [`CountMethod::for_widths`] keyed on).
     pub widths: WidthProfile,
     /// Universe size of the counted (original) query.
     pub counted_query_size: usize,
-}
-
-/// One counting algorithm in the registry.
-///
-/// Implementations must be cheap to consult: `admits` reads the prepared
-/// query's cached original-structure width profile, and `count` runs
-/// against the prepared counting certificates — all exponential-in-the-query
-/// work belongs to preparation, not here.  (The engine materializes the
-/// counting certificates before consulting the registry, so `admits` never
-/// triggers the lazy analysis itself.)
-pub trait CountSolver: Send + Sync {
-    /// Short human-readable name (used in reports and bench labels).
-    fn name(&self) -> &'static str;
-
-    /// The [`CountMethod`] tag this solver reports as.
-    fn method(&self) -> CountMethod;
-
-    /// Whether this solver's structural licence covers the prepared query
-    /// under the given thresholds.  Counting licences key on the *original*
-    /// query's widths ([`PreparedQuery::counting_widths`]).
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool;
-
-    /// Count homomorphisms from the prepared query's original structure
-    /// into one database through its cached [`StructureIndex`].
-    fn count(
-        &self,
-        query: &PreparedQuery,
-        database: &Structure,
-        index: &StructureIndex,
-    ) -> CountOutcome;
-}
-
-/// Sum–product counting over the original query's elimination forest
-/// (Theorem 6.1 (3)): for bounded tree depth the recursion
-/// `N_{r→b} = Π_i Σ_{b'} N_{t_i→b'}` counts with one image per ancestor in
-/// memory.  Not in [`CountRegistry::standard`]: it is the theorem's
-/// reference and an ablation solver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ForestCountSolver;
-
-impl CountSolver for ForestCountSolver {
-    fn name(&self) -> &'static str {
-        "elimination-forest sum-product counting"
-    }
-
-    fn method(&self) -> CountMethod {
-        CountMethod::ForestSumProduct
-    }
-
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool {
-        query.counting_widths().treedepth <= config.treedepth_threshold
-    }
-
-    fn count(
-        &self,
-        query: &PreparedQuery,
-        _database: &Structure,
-        index: &StructureIndex,
-    ) -> CountOutcome {
-        query.count_via_forest(index).count.into()
-    }
-}
-
-/// Extension-counting DP over the original query's tree decomposition — the
-/// bounded-treewidth tier of the counting classification.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TreeDecCountSolver;
-
-impl CountSolver for TreeDecCountSolver {
-    fn name(&self) -> &'static str {
-        "tree-decomposition counting DP"
-    }
-
-    fn method(&self) -> CountMethod {
-        CountMethod::TreeDecompositionDp
-    }
-
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool {
-        query.counting_widths().treewidth <= config.treewidth_threshold
-    }
-
-    fn count(
-        &self,
-        query: &PreparedQuery,
-        _database: &Structure,
-        index: &StructureIndex,
-    ) -> CountOutcome {
-        query.count_via_tree(index).count.into()
-    }
-}
-
-/// Exhaustive enumeration — the structural-guarantee-free reference; admits
-/// every query, so it terminates every registry walk.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BruteForceCountSolver;
-
-impl CountSolver for BruteForceCountSolver {
-    fn name(&self) -> &'static str {
-        "brute-force enumeration counting"
-    }
-
-    fn method(&self) -> CountMethod {
-        CountMethod::BruteForce
-    }
-
-    fn admits(&self, _query: &PreparedQuery, _config: &EngineConfig) -> bool {
-        true
-    }
-
-    fn count(
-        &self,
-        query: &PreparedQuery,
-        database: &Structure,
-        _index: &StructureIndex,
-    ) -> CountOutcome {
-        // Deliberately the un-indexed reference enumeration: this solver
-        // doubles as the oracle of the counting differential tests.  The
-        // underlying search hoists its symbol translation once per call and
-        // visits complete assignments by reference, so the enumeration runs
-        // with no per-assignment map allocation while staying
-        // reference-pure.
-        CountOutcome::Exact(count_homomorphisms_bruteforce(query.original(), database))
-    }
-}
-
-/// A priority-ordered list of counting solvers; dispatch picks the first
-/// that admits the query.
-pub struct CountRegistry {
-    solvers: Vec<Box<dyn CountSolver>>,
-}
-
-impl CountRegistry {
-    /// The standard order: the tree DP (bounded treewidth), then brute
-    /// force.
-    pub fn standard() -> CountRegistry {
-        CountRegistry {
-            solvers: vec![
-                Box::new(TreeDecCountSolver),
-                Box::new(BruteForceCountSolver),
-            ],
-        }
-    }
-
-    /// A registry with an explicit solver list (full control for
-    /// ablations).
-    pub fn new(solvers: Vec<Box<dyn CountSolver>>) -> CountRegistry {
-        CountRegistry { solvers }
-    }
-
-    /// This registry minus every solver reporting the given method — the
-    /// counting analogue of the E12 ablation edit.
-    pub fn without(mut self, method: CountMethod) -> CountRegistry {
-        self.solvers.retain(|s| s.method() != method);
-        self
-    }
-
-    /// The first solver admitting the query, in priority order.
-    pub fn select(&self, query: &PreparedQuery, config: &EngineConfig) -> Option<&dyn CountSolver> {
-        self.solvers
-            .iter()
-            .map(|s| s.as_ref())
-            .find(|s| s.admits(query, config))
-    }
-
-    /// The solvers in priority order (names are stable bench labels).
-    pub fn solvers(&self) -> impl Iterator<Item = &dyn CountSolver> {
-        self.solvers.iter().map(|s| s.as_ref())
-    }
-
-    /// Number of registered solvers.
-    pub fn len(&self) -> usize {
-        self.solvers.len()
-    }
-
-    /// Whether the registry is empty (no solver will ever be selected).
-    pub fn is_empty(&self) -> bool {
-        self.solvers.is_empty()
-    }
-}
-
-impl std::fmt::Debug for CountRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            .entries(self.solvers.iter().map(|s| s.name()))
-            .finish()
-    }
 }
 
 /// Count the homomorphisms of a single `p-#HOM` instance with the algorithm
@@ -351,7 +184,8 @@ pub fn count_instance(a: &Structure, b: &Structure, config: EngineConfig) -> Cou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq_structures::families;
+    use crate::PreparedQuery;
+    use cq_structures::{count_homomorphisms_bruteforce, families, StructureIndex};
 
     fn prepared(a: &Structure) -> PreparedQuery {
         PreparedQuery::prepare(a, &EngineConfig::default())
@@ -360,7 +194,6 @@ mod tests {
     #[test]
     fn standard_registry_selects_in_priority_order() {
         let cfg = EngineConfig::default();
-        let registry = CountRegistry::standard();
         let cases = [
             (families::star(5), CountMethod::TreeDecompositionDp),
             // P9 cores to an edge, but counting keys on the original: its
@@ -370,50 +203,30 @@ mod tests {
         ];
         for (a, expected) in cases {
             let q = prepared(&a);
-            let s = registry.select(&q, &cfg).expect("fallback admits");
-            assert_eq!(s.method(), expected, "{a}");
+            let method = CountMethod::for_widths(q.counting_widths(), &cfg);
+            assert_eq!(method, expected, "{a}");
         }
     }
 
     #[test]
-    fn without_removes_a_tier_and_dispatch_falls_through() {
-        let cfg = EngineConfig::default();
-        let registry = CountRegistry::standard().without(CountMethod::TreeDecompositionDp);
-        assert_eq!(registry.len(), 1);
-        let q = prepared(&families::star(5));
-        let s = registry.select(&q, &cfg).expect("fallback admits");
-        assert_eq!(s.method(), CountMethod::BruteForce);
-    }
-
-    #[test]
-    fn empty_registry_selects_nothing() {
-        let cfg = EngineConfig::default();
-        let registry = CountRegistry::new(Vec::new());
-        assert!(registry.is_empty());
-        let q = prepared(&families::star(3));
-        assert!(registry.select(&q, &cfg).is_none());
-    }
-
-    #[test]
     fn all_registry_solvers_agree_with_the_reference() {
-        let registry = CountRegistry::new(vec![
-            Box::new(ForestCountSolver),
-            Box::new(TreeDecCountSolver),
-            Box::new(BruteForceCountSolver),
-        ]);
-        // Queries every solver admits, including one with a proper core
+        // Queries every tier admits, including one with a proper core
         // (P4): the counts must be those of the original structure.
         for a in [families::star(3), families::path(4)] {
             let q = prepared(&a);
             for b in [families::clique(3), families::cycle(6), families::path(4)] {
                 let expected = count_homomorphisms_bruteforce(&a, &b);
                 let index = StructureIndex::new(&b);
-                for s in registry.solvers() {
+                for method in [
+                    CountMethod::ForestSumProduct,
+                    CountMethod::TreeDecompositionDp,
+                    CountMethod::BruteForce,
+                ] {
+                    assert!(method.admits(q.counting_widths(), &EngineConfig::default()));
                     assert_eq!(
-                        s.count(&q, &b, &index),
+                        q.count(method, &b, &index),
                         expected,
-                        "{} on {a} -> {b}",
-                        s.name()
+                        "{method:?} on {a} -> {b}"
                     );
                 }
             }

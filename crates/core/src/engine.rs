@@ -1,32 +1,68 @@
-//! Engine configuration, per-instance reports, and the single-instance
-//! compatibility entry point.
+//! Engine configuration, the decision tier table, per-instance reports,
+//! and the single-instance compatibility entry point.
 //!
-//! The dispatch machinery itself lives in the sibling modules:
+//! Theorem 3.1 makes evaluation a function of one width profile: each tier
+//! is licensed by exactly one measure of the (core's) Gaifman graph, tried
+//! in the order of the paper's space hierarchy.  [`SolverChoice`] is that
+//! table — [`SolverChoice::STANDARD`] is the order and
+//! [`SolverChoice::admits`] the licence — and
+//! [`crate::PreparedQuery::decide`] runs a tier's kernel program.  The
+//! counting side keys the same way on the *original* query's widths
+//! ([`crate::CountMethod`]).
+//!
+//! The rest of the machinery lives in the sibling modules:
 //! [`crate::prepared`] (the once-per-query [`crate::PreparedQuery`]
-//! artifact), [`crate::registry`] (the [`crate::HomSolver`] trait and the
-//! priority-ordered solver registry) and [`crate::service`] (the
-//! plan-caching [`crate::Engine`] with the batch API).  [`solve_instance`]
-//! is the historical one-shot API, now a thin wrapper that builds a
-//! throwaway [`crate::Engine`] — callers with repeated queries should hold
-//! an [`crate::Engine`] and use [`crate::Engine::solve`] /
-//! [`crate::Engine::solve_batch`] so plans are reused.
+//! artifact) and [`crate::service`] (the plan-caching [`crate::Engine`]
+//! with the batch API).  [`solve_instance`] is the historical one-shot
+//! API, now a thin wrapper that builds a throwaway [`crate::Engine`] —
+//! callers with repeated queries should hold an [`crate::Engine`] and use
+//! [`crate::Engine::solve`] / [`crate::Engine::solve_batch`] so plans are
+//! reused.
 
 use crate::service::Engine;
 use crate::Degree;
+use cq_decomp::WidthProfile;
 use cq_solver::backtrack::BacktrackConfig;
 use cq_structures::Structure;
 
-/// Which algorithm the engine picked.
+/// A decision tier: which algorithm the engine picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Tree-depth sentence evaluation (para-L algorithm, Lemma 3.3).
+    /// Tree-depth evaluation (para-L algorithm, Lemma 3.3): the kernel
+    /// forest recursion over the elimination-forest certificate, `O(td)`
+    /// images in memory.
     TreeDepth,
-    /// Path-decomposition sweep (PATH algorithm, Theorem 4.6).
+    /// Path-decomposition sweep (PATH algorithm, Theorem 4.6) over the
+    /// staircase-normalized path decomposition.
     PathDecomposition,
-    /// Tree-decomposition dynamic programming (TREE algorithm).
+    /// Tree-decomposition dynamic programming (TREE algorithm) with
+    /// per-edge separator hash-joins.
     TreeDecomposition,
-    /// Plain backtracking with propagation (no structural guarantee).
+    /// Whole-query kernel search (no structural guarantee); admits every
+    /// query.
     Backtracking,
+}
+
+impl SolverChoice {
+    /// The standard dispatch order of Theorem 3.1: tree depth, then
+    /// pathwidth, then treewidth, then the backtracking fallback.
+    pub const STANDARD: [SolverChoice; 4] = [
+        SolverChoice::TreeDepth,
+        SolverChoice::PathDecomposition,
+        SolverChoice::TreeDecomposition,
+        SolverChoice::Backtracking,
+    ];
+
+    /// Whether this tier's structural licence covers a query with the
+    /// given (core) width profile under `config`'s thresholds.
+    pub fn admits(self, widths: WidthProfile, config: &EngineConfig) -> bool {
+        match self {
+            SolverChoice::TreeDepth => widths.treedepth <= config.treedepth_threshold,
+            SolverChoice::PathDecomposition => widths.pathwidth <= config.pathwidth_threshold,
+            SolverChoice::TreeDecomposition => widths.treewidth <= config.treewidth_threshold,
+            SolverChoice::Backtracking => true,
+        }
+    }
 }
 
 /// Engine configuration (the ablation knobs of experiment E12).

@@ -24,34 +24,35 @@
 //!   against many databases" layer:
 //!   - [`prepared`] / [`PreparedQuery`] — the once-per-query artifact (core,
 //!     Gaifman graph, width profile **with** decomposition certificates);
-//!   - [`registry`] / [`HomSolver`] — the solver trait and the
-//!     priority-ordered registry (tree-depth sentence evaluation /
-//!     path-decomposition sweep / tree-decomposition DP / backtracking),
-//!     where ablations (experiment E12) are registry edits;
-//!   - [`counting`] / [`CountSolver`] — the Theorem 6.1 counting analogue:
-//!     a priority-ordered [`CountRegistry`] (tree-decomposition counting
-//!     DP / brute force, with the elimination-forest sum–product kept as
-//!     the [`ForestCountSolver`] reference) dispatching on the
-//!     **original** query's widths, because counting — unlike decision —
-//!     is not invariant under taking cores;
+//!   - [`engine`] / [`SolverChoice`] — the decision tier table: tree-depth
+//!     forest evaluation / path-decomposition sweep / tree-decomposition
+//!     DP / backtracking, each licensed by one width of the core, tried in
+//!     [`SolverChoice::STANDARD`] order; ablations (experiment E12) drop a
+//!     tier with [`Engine::without_tier`];
+//!   - [`counting`] / [`CountMethod`] — the Theorem 6.1 counting analogue:
+//!     the tree-decomposition counting DP or brute force
+//!     ([`CountMethod::for_widths`]), with the elimination-forest
+//!     sum–product kept as the [`CountMethod::ForestSumProduct`] reference,
+//!     dispatching on the **original** query's widths, because counting —
+//!     unlike decision — is not invariant under taking cores;
 //!   - [`answers`] — free-variable answers: [`Engine::count_answers`]
 //!     counts the distinct projections of the homomorphisms onto a query's
 //!     free variables, and [`Engine::answers`] enumerates them in pages
 //!     with bounded delay through the free-adjoined decomposition DP of
 //!     [`cq_solver::kernel::AnswerProgram`];
-//!   - [`aggregates`] / [`AggregateSolver`] — the weighted generalization:
-//!     min-cost / max-weight homomorphisms through the same kernel DPs
-//!     instantiated at the tropical semirings ([`Engine::evaluate_min_cost`],
-//!     [`Engine::evaluate_max_weight`]), sharing counting's structural
-//!     licences and compiled programs;
+//!   - [`aggregates`] — the weighted generalization: min-cost / max-weight
+//!     homomorphisms through the same kernel DPs instantiated at the
+//!     tropical semirings ([`Engine::aggregate`]), sharing counting's tier
+//!     table and compiled programs;
 //!   - [`service`] / [`Engine`] — the sharded LRU plan cache keyed by an
 //!     isomorphism-invariant query fingerprint (single-flight preparation
 //!     under concurrent misses), the parallel batch evaluation APIs
 //!     ([`Engine::solve_batch`], [`Engine::count_batch`], worker count via
 //!     [`EngineConfig`]), and the engine-backed Lemma 6.2 reduction
 //!     [`Engine::count_star`];
-//!   - [`engine`] — configuration, reports, and the single-instance
-//!     compatibility wrappers [`solve_instance`] / [`count_instance`];
+//!   - [`engine`] also holds the configuration, the reports, and the
+//!     single-instance compatibility wrappers [`solve_instance`] /
+//!     [`count_instance`];
 //!   - [`persist`] / [`PlanStore`] — the versioned, checksummed on-disk
 //!     plan store: [`Engine::save_plans`] snapshots the cache,
 //!     [`Engine::load_plans`] / [`Engine::with_plan_store`] warm-start a
@@ -66,31 +67,20 @@ pub mod counting;
 pub mod engine;
 pub mod persist;
 pub mod prepared;
-pub mod registry;
 pub mod service;
 
 use cq_decomp::{width_profile, WidthProfile};
 use cq_graphs::gaifman_graph;
 use cq_structures::{core_of, Structure};
 
-pub use aggregates::{
-    AggregateObjective, AggregateRegistry, AggregateReport, AggregateSolver, SearchAggregateSolver,
-    TreeDecAggregateSolver,
-};
+pub use aggregates::{AggregateObjective, AggregateReport};
 pub use answers::{AnswerCountReport, AnswerMethod, AnswerPage};
-pub use counting::{
-    count_instance, BruteForceCountSolver, CountMethod, CountOutcome, CountRegistry, CountReport,
-    CountSolver, ForestCountSolver, TreeDecCountSolver,
-};
+pub use counting::{count_instance, CountMethod, CountOutcome, CountReport};
 pub use engine::{solve_instance, EngineConfig, EngineReport, SolverChoice};
 pub use persist::{
     PersistError, PlanStore, StoredPlan, WarmStartSummary, PLAN_STORE_MAGIC, PLAN_STORE_VERSION,
 };
 pub use prepared::PreparedQuery;
-pub use registry::{
-    BacktrackSolver, HomSolver, PathDpSolver, SolveOutcome, SolverRegistry, TreeDecSolver,
-    TreeDepthSolver,
-};
 pub use service::{
     CacheStats, DeltaReport, Engine, IndexStats, PrepStats, QueryId, DEFAULT_CACHE_SHARDS,
     DEFAULT_INDEX_CACHE_CAPACITY, DEFAULT_PLAN_CACHE_CAPACITY,
@@ -133,6 +123,16 @@ impl Degree {
         } else {
             Degree::ParaL
         }
+    }
+
+    /// The degree one query's width profile earns against `config`'s
+    /// thresholds — the per-query hint the engine reports.
+    pub fn of_widths(widths: WidthProfile, config: &EngineConfig) -> Degree {
+        Degree::from_boundedness(
+            widths.treewidth <= config.treewidth_threshold,
+            widths.pathwidth <= config.pathwidth_threshold,
+            widths.treedepth <= config.treedepth_threshold,
+        )
     }
 }
 

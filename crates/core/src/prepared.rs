@@ -6,44 +6,51 @@
 //! computation (Theorem 3.1 classifies by cores), the Gaifman graph, and the
 //! single-pass structural analysis of [`cq_decomp::analyze`] — the three
 //! width measures **with** their certificates (elimination forest, path
-//! decomposition, tree decomposition).  The solvers of the registry consume
-//! those certificates directly, so nothing exponential in the query runs
-//! again at evaluation time; the regression tests assert this through the
+//! decomposition, tree decomposition).  The evaluation tiers
+//! ([`PreparedQuery::decide`], [`PreparedQuery::count`],
+//! [`PreparedQuery::aggregate`]) consume those certificates directly, so
+//! nothing exponential in the query runs again at evaluation time; the
+//! regression tests assert this through the
 //! call counters of [`cq_decomp::stats`] and
 //! [`cq_structures::core_computation_count`].
 //!
 //! Three derived per-query artifacts are materialized lazily on first use
 //! and then shared by every subsequent evaluation:
 //!
-//! * the Lemma 3.3 `{∧,∃}`-sentence (tree-depth solver), compiled from the
-//!   elimination-forest certificate;
+//! * the Lemma 3.3 `{∧,∃}`-sentence (the tree-depth reference), compiled
+//!   from the elimination-forest certificate;
 //! * the staircase normal form of the path decomposition (path-sweep
-//!   solver);
+//!   tier);
 //! * the **counting certificates**: the structural analysis of the
 //!   *original* query.  Counting is **not** invariant under taking cores
 //!   (a query and its core have the same decision answer but different
-//!   homomorphism counts), so the counting solvers of
-//!   [`crate::counting::CountRegistry`] must run on the query exactly as
-//!   submitted — with certificates of *its* Gaifman graph, not the core's.
+//!   homomorphism counts), so the counting tiers of
+//!   [`crate::CountMethod`] must run on the query exactly as submitted —
+//!   with certificates of *its* Gaifman graph, not the core's.
 //!   When the evaluated structure already equals the original (core
 //!   preprocessing disabled, or the query is its own core) the decision
 //!   certificates are reused and no extra width DP ever runs.
 
-use crate::engine::EngineConfig;
+use crate::aggregates::AggregateObjective;
+use crate::counting::{CountMethod, CountOutcome};
+use crate::engine::{EngineConfig, SolverChoice};
 use crate::Degree;
 use cq_decomp::{PathDecomposition, StructuralAnalysis, WidthProfile};
 use cq_graphs::{gaifman_graph, Graph};
 use cq_logic::canonical::query_fingerprint;
 use cq_logic::treedepth_sentence::{corresponding_sentence_with_forest, TreeDepthSentence};
 use cq_solver::kernel::{
-    AnswerProgram, ForestProgram, ForestRun, KernelSearchStats, SearchProgram, StairProgram,
-    TreeDpProgram, TreeDpRun, TreeIncrementalState,
+    aggregate_with_forest_indexed, AnswerProgram, ForestProgram, ForestRun, KernelSearchStats,
+    SearchProgram, StairProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState,
 };
-use cq_solver::{BoolSemiring, CheckedNatSemiring, Nat, PathDpReport, Semiring};
+use cq_solver::{
+    BoolSemiring, CheckedNatSemiring, Cost, MaxWeightSemiring, MinCostSemiring, Nat, PathDpReport,
+    Semiring,
+};
 use cq_structures::codec::{encode_option_ref, Decode, DecodeError, Encode, Reader};
 use cq_structures::{
-    core_of, embedding_exists, homomorphism_exists, Element, Structure, StructureIndex,
-    TupleWeights,
+    core_of, count_homomorphisms_bruteforce, embedding_exists, homomorphism_exists, Element,
+    Structure, StructureIndex, TupleWeights,
 };
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -66,7 +73,7 @@ const MAX_KERNEL_BUNDLES: usize = 8;
 const MAX_ANSWER_PROGRAMS: usize = 4;
 
 /// The compiled kernel programs of one `(plan, database index)` pair, each
-/// slot materialized on first use by the corresponding solver entry point
+/// slot materialized on first use by the corresponding tier entry point
 /// and reused by every later evaluation against the same index (bundles
 /// are keyed by `(`[`StructureIndex::id`]`, `[`StructureIndex::domain_epoch`]`)`
 /// — compiled programs bake per-position prefilter domains, which stay
@@ -231,12 +238,7 @@ impl PreparedQuery {
         };
         let gaifman = gaifman_graph(&evaluated);
         let analysis = cq_decomp::analyze(&gaifman);
-        let widths = analysis.widths;
-        let degree_hint = Degree::from_boundedness(
-            widths.treewidth <= config.treewidth_threshold,
-            widths.pathwidth <= config.pathwidth_threshold,
-            widths.treedepth <= config.treedepth_threshold,
-        );
+        let degree_hint = Degree::of_widths(analysis.widths, config);
         PreparedQuery {
             fingerprint,
             original: a.clone(),
@@ -332,7 +334,7 @@ impl PreparedQuery {
     }
 
     /// The structural analysis of the **original** query — the certificates
-    /// the counting solvers consume.
+    /// the counting tiers consume.
     ///
     /// Counting is not invariant under taking cores: `#hom(A, B)` differs
     /// from `#hom(core(A), B)` whenever the core is proper (e.g.
@@ -366,7 +368,7 @@ impl PreparedQuery {
         (analysis, computed)
     }
 
-    /// The width profile of the **original** query (counting-solver
+    /// The width profile of the **original** query (counting-tier
     /// selection keys on these widths, not the core's — Theorem 6.1
     /// classifies counting by the members themselves).
     pub fn counting_widths(&self) -> WidthProfile {
@@ -467,8 +469,8 @@ impl PreparedQuery {
     }
 
     /// Count through the kernel forest sum–product (Theorem 6.1 (3)) — the
-    /// [`crate::ForestCountSolver`] reference, outside the standard
-    /// registry — compiling the [`ForestProgram`] of the **original**
+    /// [`CountMethod::ForestSumProduct`] reference, never dispatched by the
+    /// engine — compiling the [`ForestProgram`] of the **original**
     /// structure with the counting certificates on first use against this
     /// index.
     pub fn count_via_forest(&self, index: &StructureIndex) -> ForestRun {
@@ -582,6 +584,78 @@ impl PreparedQuery {
             .search_original
             .get_or_init(|| SearchProgram::compile(&self.original, index, true))
             .aggregate::<S>(index, Some(weights))
+    }
+
+    /// Decide through one decision tier's kernel program on the
+    /// **evaluated** structure; `fail_first` picks the
+    /// [`SolverChoice::Backtracking`] search order and is ignored by the
+    /// structural tiers.  The caller picks the tier
+    /// ([`SolverChoice::admits`]); every tier is correct on every query,
+    /// the licence only bounds its cost.
+    pub fn decide(&self, choice: SolverChoice, index: &StructureIndex, fail_first: bool) -> bool {
+        match choice {
+            SolverChoice::TreeDepth => self.decide_via_forest(index).exists,
+            SolverChoice::PathDecomposition => self.decide_via_staircase(index).exists,
+            SolverChoice::TreeDecomposition => self.decide_via_tree(index).exists,
+            SolverChoice::Backtracking => self.search(index, fail_first).0.is_some(),
+        }
+    }
+
+    /// Count homomorphisms from the **original** structure through one
+    /// counting tier.  [`CountMethod::BruteForce`] is deliberately the
+    /// un-indexed reference enumeration over `database` (it doubles as the
+    /// oracle of the counting differential tests); the other tiers run
+    /// their compiled kernel programs against `index`.
+    pub fn count(
+        &self,
+        method: CountMethod,
+        database: &Structure,
+        index: &StructureIndex,
+    ) -> CountOutcome {
+        match method {
+            CountMethod::ForestSumProduct => self.count_via_forest(index).count.into(),
+            CountMethod::TreeDecompositionDp => self.count_via_tree(index).count.into(),
+            CountMethod::BruteForce => {
+                CountOutcome::Exact(count_homomorphisms_bruteforce(&self.original, database))
+            }
+        }
+    }
+
+    /// Optimize `objective` over all homomorphisms from the **original**
+    /// structure through one counting tier: the tree DP
+    /// ([`Self::aggregate_via_tree`]), the exhaustive search
+    /// ([`Self::aggregate_via_search`]) for [`CountMethod::BruteForce`], or
+    /// the uncached weighted forest recursion — the Theorem 6.1 (3)
+    /// reference — for [`CountMethod::ForestSumProduct`].  `weights` must
+    /// align with the index's database.
+    pub fn aggregate(
+        &self,
+        method: CountMethod,
+        index: &StructureIndex,
+        weights: &TupleWeights,
+        objective: AggregateObjective,
+    ) -> Option<u64> {
+        fn run<S: Semiring<Value = Cost>>(
+            plan: &PreparedQuery,
+            method: CountMethod,
+            index: &StructureIndex,
+            weights: &TupleWeights,
+        ) -> Cost {
+            match method {
+                CountMethod::ForestSumProduct => aggregate_with_forest_indexed::<S>(
+                    &plan.original,
+                    index,
+                    &plan.counting_analysis().elimination_forest,
+                    weights,
+                ),
+                CountMethod::TreeDecompositionDp => plan.aggregate_via_tree::<S>(index, weights),
+                CountMethod::BruteForce => plan.aggregate_via_search::<S>(index, weights).0,
+            }
+        }
+        match objective {
+            AggregateObjective::MinCost => run::<MinCostSemiring>(self, method, index, weights),
+            AggregateObjective::MaxWeight => run::<MaxWeightSemiring>(self, method, index, weights),
+        }
     }
 
     /// Whether this plan answers queries for `candidate`: true when
@@ -787,8 +861,8 @@ impl PreparedQuery {
     /// Certificate-side consistency: every certificate must be valid for
     /// the graph and witness exactly the claimed width.  (A valid
     /// certificate of the claimed width cannot understate the true width,
-    /// so the registry can never be tricked into running a solver outside
-    /// its licence with an unusable certificate.)
+    /// so dispatch can never be tricked into running a tier outside its
+    /// licence with an unusable certificate.)
     fn verify_analysis(analysis: &StructuralAnalysis, gaifman: &Graph) -> Result<(), &'static str> {
         let widths = analysis.widths;
         if !analysis.tree_decomposition.is_valid_for(gaifman)

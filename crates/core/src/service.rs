@@ -36,13 +36,12 @@
 //!   counters of [`cq_decomp::stats`] / [`cq_structures`] only see the
 //!   calling thread and would silently undercount under parallelism.
 
-use crate::aggregates::{AggregateObjective, AggregateRegistry, AggregateReport};
+use crate::aggregates::{AggregateObjective, AggregateReport};
 use crate::answers::{AnswerCountReport, AnswerMethod, AnswerPage};
-use crate::counting::{CountOutcome, CountRegistry, CountReport};
-use crate::engine::{EngineConfig, EngineReport};
+use crate::counting::{CountMethod, CountOutcome, CountReport};
+use crate::engine::{EngineConfig, EngineReport, SolverChoice};
 use crate::persist::{PersistError, PlanStore, WarmStartSummary};
 use crate::prepared::PreparedQuery;
-use crate::registry::SolverRegistry;
 use crate::Degree;
 use cq_decomp::WidthProfile;
 use cq_logic::canonical::query_fingerprint;
@@ -927,15 +926,17 @@ fn shard_capacity(total: usize, count: usize, index: usize) -> usize {
     total / count + usize::from(index < total % count)
 }
 
-/// The prepared-query evaluation engine: solver registry + sharded plan
-/// cache + parallel batch API.  Cheap to share across threads (`&Engine` is
+/// The prepared-query evaluation engine: decision tier order + sharded
+/// plan cache + instance-index cache + parallel batch API.  Decision
+/// dispatches to the first tier of [`SolverChoice::STANDARD`] (minus any
+/// [`Engine::without_tier`] ablations) that admits the core's widths;
+/// counting and aggregates dispatch through [`CountMethod::for_widths`] on
+/// the original's widths.  Cheap to share across threads (`&Engine` is
 /// `Send + Sync`; all interior state is sharded-mutex-guarded or atomic).
 pub struct Engine {
     id: u64,
     config: EngineConfig,
-    registry: SolverRegistry,
-    count_registry: CountRegistry,
-    aggregate_registry: AggregateRegistry,
+    tiers: Vec<SolverChoice>,
     cache: ShardedPlanCache,
     indexes: InstanceIndexCache,
     registered: Mutex<Vec<Arc<PreparedQuery>>>,
@@ -958,22 +959,12 @@ struct EvictionSink {
 }
 
 impl Engine {
-    /// An engine with the standard solver registries (decision and
-    /// counting) and default cache capacity.
+    /// An engine with the standard tier order and default cache capacity.
     pub fn new(config: EngineConfig) -> Engine {
-        Engine::with_registry(config, SolverRegistry::standard(&config))
-    }
-
-    /// An engine with an explicit decision registry (ablations,
-    /// experiments); the counting registry stays the standard one and can
-    /// be overridden with [`Engine::with_count_registry`].
-    pub fn with_registry(config: EngineConfig, registry: SolverRegistry) -> Engine {
         Engine {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             config,
-            registry,
-            count_registry: CountRegistry::standard(),
-            aggregate_registry: AggregateRegistry::standard(),
+            tiers: SolverChoice::STANDARD.to_vec(),
             cache: ShardedPlanCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_PLAN_CACHE_CAPACITY),
             indexes: InstanceIndexCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_INDEX_CACHE_CAPACITY),
             registered: Mutex::new(Vec::new()),
@@ -982,17 +973,20 @@ impl Engine {
         }
     }
 
-    /// Override the counting registry (counting ablations — the E15
-    /// analogue of the E12 registry edits).
-    pub fn with_count_registry(mut self, count_registry: CountRegistry) -> Engine {
-        self.count_registry = count_registry;
-        self
-    }
-
-    /// Override the weighted-aggregate registry (tier ablations for the
-    /// min-cost / max-weight entry points).
-    pub fn with_aggregate_registry(mut self, aggregate_registry: AggregateRegistry) -> Engine {
-        self.aggregate_registry = aggregate_registry;
+    /// This engine minus one decision tier — the E12 ablation edit ("what
+    /// happens without the path sweep?"): queries the tier would have
+    /// taken fall through to the next admitting tier.
+    ///
+    /// # Panics
+    /// On [`SolverChoice::Backtracking`]: the fallback admits every query
+    /// and cannot be removed.
+    pub fn without_tier(mut self, choice: SolverChoice) -> Engine {
+        assert_ne!(
+            choice,
+            SolverChoice::Backtracking,
+            "the backtracking fallback cannot be ablated"
+        );
+        self.tiers.retain(|&tier| tier != choice);
         self
     }
 
@@ -1037,11 +1031,6 @@ impl Engine {
     /// The configuration this engine prepares and solves under.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The solver registry used for decision dispatch.
-    pub fn registry(&self) -> &SolverRegistry {
-        &self.registry
     }
 
     /// The number of cache shards currently configured.
@@ -1255,21 +1244,23 @@ impl Engine {
     }
 
     /// Evaluate a prepared query against one database: select the first
-    /// admitting solver in registry priority order and run it on the plan's
+    /// admitting tier in dispatch order and run it on the plan's
     /// certificates through the database's cached index.  No per-query
     /// exponential work happens here.
     pub fn solve_prepared(&self, plan: &PreparedQuery, database: &Structure) -> EngineReport {
-        let solver = self
-            .registry
-            .select(plan, &self.config)
-            .expect("solver registry has no solver admitting this query (ablated registries must keep a fallback)");
+        let widths = plan.widths();
+        let choice = self
+            .tiers
+            .iter()
+            .copied()
+            .find(|tier| tier.admits(widths, &self.config))
+            .expect("the backtracking fallback admits every query");
         let index = self.indexes.get(database);
-        let outcome = solver.solve(plan, database, &index);
         EngineReport {
-            exists: outcome.exists,
-            choice: solver.choice(),
+            exists: plan.decide(choice, &index, self.config.backtrack.fail_first_ordering),
+            choice,
             degree_hint: plan.degree_hint(),
-            widths: plan.widths(),
+            widths,
             evaluated_query_size: plan.evaluated_size(),
         }
     }
@@ -1277,7 +1268,7 @@ impl Engine {
     /// Count the homomorphisms of one instance end to end: prepare the
     /// query through the **shared** plan cache (decision and counting
     /// traffic on the same fingerprint reuse one plan), then count through
-    /// the counting registry on the original-structure certificates.
+    /// the counting tier on the original-structure certificates.
     ///
     /// Counting is invariant under isomorphism but **not** under the
     /// homomorphic equivalence the decision cache trades in, so when the
@@ -1288,40 +1279,36 @@ impl Engine {
     /// fingerprint collision — falls back to an uncached exact count
     /// instead of a silently wrong one.
     pub fn count_instance(&self, query: &Structure, database: &Structure) -> CountReport {
+        self.count_prepared(&self.counting_plan(query), database)
+    }
+
+    /// A plan that counts for `query`: the cached plan when
+    /// [`PreparedQuery::counts_for`] confirms it, else — a fingerprint
+    /// collision between hom-equivalent non-isomorphic structures — a
+    /// throwaway plan for the submitted form (uncached: inserting it would
+    /// fight the colliding slot).
+    fn counting_plan(&self, query: &Structure) -> Arc<PreparedQuery> {
         let plan = self.prepare(query);
         if plan.counts_for(query) {
-            self.count_prepared(&plan, database)
+            plan
         } else {
-            // Fingerprint collision between hom-equivalent non-isomorphic
-            // structures: prepare a throwaway plan for the submitted form
-            // (uncached — inserting it would fight the colliding slot) and
-            // count on that.
-            let plan = self.prepare_counted(query, query_fingerprint(query));
-            self.count_prepared(&plan, database)
+            self.prepare_counted(query, query_fingerprint(query))
         }
     }
 
     /// Count a prepared query's homomorphisms into one database: ensure the
     /// original-structure counting certificates exist (lazy, once per
-    /// plan), select the first admitting counting solver in registry
-    /// priority order, and run it.  On a plan whose counting certificates
-    /// are already materialized, no per-query exponential work happens
-    /// here.
+    /// plan), pick the tier with [`CountMethod::for_widths`], and run it.
+    /// On a plan whose counting certificates are already materialized, no
+    /// per-query exponential work happens here.
     pub fn count_prepared(&self, plan: &PreparedQuery, database: &Structure) -> CountReport {
         let widths = self.ensure_counting_certificates(plan);
-        let solver = self
-            .count_registry
-            .select(plan, &self.config)
-            .expect("counting registry has no solver admitting this query (ablated registries must keep a fallback)");
+        let method = CountMethod::for_widths(widths, &self.config);
         let index = self.indexes.get(database);
         CountReport {
-            count: solver.count(plan, database, &index),
-            method: solver.method(),
-            degree_hint: Degree::from_boundedness(
-                widths.treewidth <= self.config.treewidth_threshold,
-                widths.pathwidth <= self.config.pathwidth_threshold,
-                widths.treedepth <= self.config.treedepth_threshold,
-            ),
+            count: plan.count(method, database, &index),
+            method,
+            degree_hint: Degree::of_widths(widths, &self.config),
             widths,
             counted_query_size: plan.original().universe_size(),
         }
@@ -1391,8 +1378,8 @@ impl Engine {
         let free = query.free_element_indices();
         let plan = self.answer_plan(&canonical);
         let widths = self.ensure_counting_certificates(&plan);
-        let (answers, method, answer_width) = if widths.treewidth <= self.config.treewidth_threshold
-        {
+        let licensed = CountMethod::TreeDecompositionDp.admits(widths, &self.config);
+        let (answers, method, answer_width) = if licensed {
             let index = self.indexes.get(database);
             let program = plan.answer_program(&index, &free);
             (
@@ -1411,11 +1398,7 @@ impl Engine {
         AnswerCountReport {
             answers,
             method,
-            degree_hint: Degree::from_boundedness(
-                widths.treewidth <= self.config.treewidth_threshold,
-                widths.pathwidth <= self.config.pathwidth_threshold,
-                widths.treedepth <= self.config.treedepth_threshold,
-            ),
+            degree_hint: Degree::of_widths(widths, &self.config),
             widths,
             answer_width,
             free_count: free.len(),
@@ -1453,7 +1436,7 @@ impl Engine {
         let free = query.free_element_indices();
         let plan = self.answer_plan(&canonical);
         let widths = self.ensure_counting_certificates(&plan);
-        if widths.treewidth <= self.config.treewidth_threshold {
+        if CountMethod::TreeDecompositionDp.admits(widths, &self.config) {
             let index = self.indexes.get(database);
             let program = plan.answer_program(&index, &free);
             let mut cursor = program.cursor(&index);
@@ -1559,65 +1542,22 @@ impl Engine {
         }
     }
 
-    /// Minimum total tuple weight over all homomorphisms from `query` into
-    /// `database` — the tropical `(min, +)` instantiation of the same
-    /// kernel DPs that decide and count.  `None` when no homomorphism
-    /// exists.  Plans are shared with decision/counting traffic through
-    /// the same cache (aggregates reuse the compiled counting programs;
-    /// only the weights differ per call).
+    /// Optimize `objective` over all homomorphisms from `query` into
+    /// `database`: the minimum (resp. maximum) total tuple weight, through
+    /// the tropical instantiations of the same kernel DPs that decide and
+    /// count.  `None` when no homomorphism exists.  Plans are shared with
+    /// decision/counting traffic through the same cache, under the same
+    /// isomorphism guard as [`Engine::count_instance`] (aggregates are not
+    /// core-invariant), and reuse the compiled counting programs; only the
+    /// weights differ per call.  The tier is [`CountMethod::for_widths`]:
+    /// the tree DP within the treewidth threshold, exhaustive search
+    /// otherwise.
     ///
     /// # Panics
     /// When `weights` is not aligned with `database`'s relations
     /// (`weights.matches(database)` must hold — a weight table is only
     /// meaningful next to the structure it was built for).
-    pub fn evaluate_min_cost(
-        &self,
-        query: &Structure,
-        database: &Structure,
-        weights: &TupleWeights,
-    ) -> AggregateReport {
-        self.aggregate_instance(query, database, weights, AggregateObjective::MinCost)
-    }
-
-    /// Maximum total tuple weight over all homomorphisms — the `(max, +)`
-    /// twin of [`Engine::evaluate_min_cost`], with the same plan sharing
-    /// and the same panics.
-    pub fn evaluate_max_weight(
-        &self,
-        query: &Structure,
-        database: &Structure,
-        weights: &TupleWeights,
-    ) -> AggregateReport {
-        self.aggregate_instance(query, database, weights, AggregateObjective::MaxWeight)
-    }
-
-    /// Evaluate a batch of (query, database, weights) min-cost instances
-    /// across the configured worker threads, in input order and
-    /// bit-identical to the sequential path for every worker count.
-    pub fn min_cost_batch(
-        &self,
-        batch: &[(&Structure, &Structure, &TupleWeights)],
-    ) -> Vec<AggregateReport> {
-        self.run_batch(batch, |engine, &(query, database, weights)| {
-            engine.evaluate_min_cost(query, database, weights)
-        })
-    }
-
-    /// The max-weight twin of [`Engine::min_cost_batch`].
-    pub fn max_weight_batch(
-        &self,
-        batch: &[(&Structure, &Structure, &TupleWeights)],
-    ) -> Vec<AggregateReport> {
-        self.run_batch(batch, |engine, &(query, database, weights)| {
-            engine.evaluate_max_weight(query, database, weights)
-        })
-    }
-
-    /// Shared implementation of the aggregate entry points: prepare through
-    /// the cache with the same isomorphism guard as
-    /// [`Engine::count_instance`] (aggregates are not core-invariant), then
-    /// dispatch through the aggregate registry.
-    fn aggregate_instance(
+    pub fn aggregate(
         &self,
         query: &Structure,
         database: &Structure,
@@ -1628,45 +1568,30 @@ impl Engine {
             weights.matches(database),
             "weight table does not align with the database's relations"
         );
-        let plan = self.prepare(query);
-        if plan.counts_for(query) {
-            self.aggregate_prepared(&plan, database, weights, objective)
-        } else {
-            // Fingerprint collision between hom-equivalent non-isomorphic
-            // structures — same uncached fallback as counting.
-            let plan = self.prepare_counted(query, query_fingerprint(query));
-            self.aggregate_prepared(&plan, database, weights, objective)
+        let plan = self.counting_plan(query);
+        let widths = self.ensure_counting_certificates(&plan);
+        let method = CountMethod::for_widths(widths, &self.config);
+        let index = self.indexes.get(database);
+        AggregateReport {
+            value: plan.aggregate(method, &index, weights, objective),
+            objective,
+            method,
+            degree_hint: Degree::of_widths(widths, &self.config),
+            widths,
         }
     }
 
-    /// Aggregate a prepared query against one database: ensure the counting
-    /// certificates (aggregates run on the original structure), select the
-    /// first admitting aggregate solver, and run it.
-    pub fn aggregate_prepared(
+    /// Evaluate a batch of (query, database, weights) instances under one
+    /// objective across the configured worker threads, in input order and
+    /// bit-identical to the sequential path for every worker count.
+    pub fn aggregate_batch(
         &self,
-        plan: &PreparedQuery,
-        database: &Structure,
-        weights: &TupleWeights,
+        batch: &[(&Structure, &Structure, &TupleWeights)],
         objective: AggregateObjective,
-    ) -> AggregateReport {
-        let widths = self.ensure_counting_certificates(plan);
-        let solver = self
-            .aggregate_registry
-            .select(plan, &self.config)
-            .expect("aggregate registry has no solver admitting this query (ablated registries must keep a fallback)");
-        let index = self.indexes.get(database);
-        let value = solver.evaluate(plan, database, &index, weights, objective);
-        AggregateReport {
-            value,
-            objective,
-            method: solver.method(),
-            degree_hint: Degree::from_boundedness(
-                widths.treewidth <= self.config.treewidth_threshold,
-                widths.pathwidth <= self.config.pathwidth_threshold,
-                widths.treedepth <= self.config.treedepth_threshold,
-            ),
-            widths,
-        }
+    ) -> Vec<AggregateReport> {
+        self.run_batch(batch, |engine, &(query, database, weights)| {
+            engine.aggregate(query, database, weights, objective)
+        })
     }
 
     /// Evaluate a batch of (registered query, database) instances across
@@ -2013,9 +1938,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("config", &self.config)
-            .field("registry", &self.registry)
-            .field("count_registry", &self.count_registry)
-            .field("aggregate_registry", &self.aggregate_registry)
+            .field("tiers", &self.tiers)
             .field("cache_shards", &self.cache_shards())
             .field("cache", &self.cache_stats())
             .field("prep", &self.prep_stats())
@@ -2026,8 +1949,6 @@ impl std::fmt::Debug for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::CountMethod;
-    use crate::engine::SolverChoice;
     use cq_structures::{families, homomorphism_exists, relabeled};
 
     #[test]
@@ -2324,26 +2245,6 @@ mod tests {
     }
 
     #[test]
-    fn ablated_count_registry_changes_method_not_counts() {
-        use crate::{BruteForceCountSolver, ForestCountSolver, TreeDecCountSolver};
-        let cfg = EngineConfig::default();
-        let standard = Engine::new(cfg);
-        let forest_first = Engine::new(cfg).with_count_registry(CountRegistry::new(vec![
-            Box::new(ForestCountSolver),
-            Box::new(TreeDecCountSolver),
-            Box::new(BruteForceCountSolver),
-        ]));
-        let star = families::star(4);
-        for t in [families::clique(3), families::cycle(6)] {
-            let r_standard = standard.count_instance(&star, &t);
-            let r_forest = forest_first.count_instance(&star, &t);
-            assert_eq!(r_standard.method, CountMethod::TreeDecompositionDp);
-            assert_eq!(r_forest.method, CountMethod::ForestSumProduct);
-            assert_eq!(r_standard.count, r_forest.count);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "issued by a different Engine")]
     fn query_ids_are_not_transferable_between_engines() {
         let engine_a = Engine::new(EngineConfig::default());
@@ -2357,20 +2258,63 @@ mod tests {
 
     #[test]
     fn ablated_registry_changes_dispatch_not_answers() {
+        use cq_structures::ops::colored_target;
+        use cq_structures::star_expansion;
         let cfg = EngineConfig::default();
-        let full = Engine::new(cfg);
-        let ablated = Engine::with_registry(
-            cfg,
-            SolverRegistry::standard(&cfg).without(SolverChoice::TreeDepth),
-        );
-        let a = families::star(5);
-        for b in [families::clique(3), families::cycle(6)] {
-            let r_full = full.solve(&a, &b);
-            let r_ablated = ablated.solve(&a, &b);
-            assert_eq!(r_full.choice, SolverChoice::TreeDepth);
-            assert_eq!(r_ablated.choice, SolverChoice::PathDecomposition);
-            assert_eq!(r_full.exists, r_ablated.exists);
+        // T*_3 has pathwidth 2: a pathwidth threshold of 1 licenses the
+        // tree DP for it.
+        let tree_cfg = EngineConfig {
+            pathwidth_threshold: 1,
+            ..cfg
+        };
+        let cases = [
+            (
+                SolverChoice::TreeDepth,
+                SolverChoice::PathDecomposition,
+                cfg,
+                families::star(5),
+                vec![families::clique(3), families::cycle(6), families::path(1)],
+            ),
+            (
+                SolverChoice::PathDecomposition,
+                SolverChoice::TreeDecomposition,
+                cfg,
+                star_expansion(&families::path(9)),
+                vec![
+                    colored_target(9, &families::path(12), |e| vec![e, e + 1]),
+                    colored_target(9, &families::path(20), |e| vec![2 * e]),
+                ],
+            ),
+            (
+                SolverChoice::TreeDecomposition,
+                SolverChoice::Backtracking,
+                tree_cfg,
+                star_expansion(&families::tree_t(3)),
+                vec![
+                    colored_target(15, &families::clique(3), |_| (0..3).collect()),
+                    colored_target(15, &families::path(2), |_| vec![0]),
+                ],
+            ),
+        ];
+        for (removed, fallback, config, a, targets) in cases {
+            let full = Engine::new(config);
+            let ablated = Engine::new(config).without_tier(removed);
+            for b in &targets {
+                let expected = homomorphism_exists(&a, b);
+                let r_full = full.solve(&a, b);
+                let r_ablated = ablated.solve(&a, b);
+                assert_eq!(r_full.choice, removed, "{a}");
+                assert_eq!(r_ablated.choice, fallback, "{a}");
+                assert_eq!(r_full.exists, expected, "{a} -> {b}");
+                assert_eq!(r_ablated.exists, expected, "{a} -> {b}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be ablated")]
+    fn the_backtracking_fallback_cannot_be_ablated() {
+        let _ = Engine::new(EngineConfig::default()).without_tier(SolverChoice::Backtracking);
     }
 
     #[test]

@@ -1,26 +1,23 @@
 //! Differential **counting** oracle: on a seeded corpus of random (query,
-//! structure) pairs, every counting solver — the [`CountRegistry`] tiers
-//! ([`TreeDecCountSolver`], [`BruteForceCountSolver`]) and the Theorem
-//! 6.1 (3) reference [`ForestCountSolver`] — must return the same number as the
-//! structure-agnostic reference [`count_homomorphisms_bruteforce`] — the
-//! counting analogue of `differential_oracle.rs`.
+//! structure) pairs, every counting tier of [`CountMethod`] — the
+//! dispatched `TreeDecompositionDp` and `BruteForce` and the Theorem
+//! 6.1 (3) reference `ForestSumProduct` — must return the same number as
+//! the structure-agnostic reference [`count_homomorphisms_bruteforce`] —
+//! the counting analogue of `differential_oracle.rs`.
 //!
 //! Brute-force enumeration is the reference because it uses none of the
-//! prepared certificates: a disagreement means a counting solver (or the
+//! prepared certificates: a disagreement means a counting tier (or the
 //! original-structure certificate it consumed) is wrong.  Failures print
 //! the offending pair with the seeds that regenerate it, so every
 //! counterexample reproduces exactly.
 //!
-//! Counting has a failure mode decision does not: a solver silently
+//! Counting has a failure mode decision does not: a tier silently
 //! counting the **core** instead of the original query returns a plausible
 //! but wrong (smaller) number on every query with a proper core — the
 //! corpus is full of such queries, and the closed-form regression at the
 //! bottom pins the trap explicitly.
 
-use cq_core::{
-    BruteForceCountSolver, CountRegistry, CountSolver, Engine, EngineConfig, ForestCountSolver,
-    PreparedQuery, TreeDecCountSolver,
-};
+use cq_core::{CountMethod, Engine, EngineConfig, PreparedQuery};
 use cq_structures::{core_of, count_homomorphisms_bruteforce, families, Structure, StructureIndex};
 use cq_workloads::{random_digraph_structure, random_graph_structure};
 
@@ -80,10 +77,10 @@ fn corpus() -> Vec<(String, Structure, Structure)> {
 #[test]
 fn every_count_registry_solver_agrees_with_bruteforce_on_the_corpus() {
     let config = oracle_config();
-    let solvers: [(&str, &dyn CountSolver); 3] = [
-        ("ForestCountSolver", &ForestCountSolver),
-        ("TreeDecCountSolver", &TreeDecCountSolver),
-        ("BruteForceCountSolver", &BruteForceCountSolver),
+    let methods = [
+        CountMethod::ForestSumProduct,
+        CountMethod::TreeDecompositionDp,
+        CountMethod::BruteForce,
     ];
 
     let mut comparisons = 0usize;
@@ -92,15 +89,15 @@ fn every_count_registry_solver_agrees_with_bruteforce_on_the_corpus() {
         let prepared = PreparedQuery::prepare(&query, &config);
         let index = StructureIndex::new(&target);
         let expected = count_homomorphisms_bruteforce(&query, &target);
-        for (name, solver) in solvers {
-            if !solver.admits(&prepared, &config) {
+        for method in methods {
+            if !method.admits(prepared.counting_widths(), &config) {
                 continue;
             }
             comparisons += 1;
-            let got = solver.count(&prepared, &target, &index);
+            let got = prepared.count(method, &target, &index);
             if got != expected {
                 disagreements.push(format!(
-                    "{name} says {got}, brute force says {expected} on {label}:\n  query  {query}\n  target {target}"
+                    "{method:?} says {got}, brute force says {expected} on {label}:\n  query  {query}\n  target {target}"
                 ));
             }
         }
@@ -183,10 +180,10 @@ fn kernel_counting_agrees_with_the_retained_references_on_the_corpus() {
 }
 
 /// The oracle repeated through prepared-plan reuse: counting the same
-/// corpus through one engine (warm plan cache, every tier dispatched by the
-/// counting registry) matches brute force, and the parallel `count_batch`
+/// corpus through one engine (warm plan cache, every tier dispatched by
+/// [`CountMethod::for_widths`]) matches brute force, and the parallel `count_batch`
 /// returns bit-identical sequences for every worker count.  Guards the
-/// cache + counting-dispatch composition rather than individual solvers.
+/// cache + counting-dispatch composition rather than individual tiers.
 #[test]
 fn engine_count_batch_over_the_corpus_matches_brute_force_for_every_worker_count() {
     let pairs = corpus();
@@ -280,30 +277,33 @@ fn engine_backed_star_counting_matches_direct_counting() {
     assert_eq!(engine.prep_stats().preparations, 3);
 }
 
-/// An ablated counting registry must change the dispatched method, never
-/// the number — exercised against the corpus reference on a query every
-/// tier admits.
+/// Swapping the counting tier must change the method, never the number —
+/// exercised against the corpus reference on a query every tier admits:
+/// the engine's dispatched tree DP, the forest sum–product reference and
+/// brute force all agree through one cached plan.
 #[test]
 fn counting_ablations_preserve_counts() {
     let config = oracle_config();
-    let full = Engine::new(config);
-    let forest_first = Engine::new(config).with_count_registry(CountRegistry::new(vec![
-        Box::new(ForestCountSolver),
-        Box::new(TreeDecCountSolver),
-        Box::new(BruteForceCountSolver),
-    ]));
-    let no_structural = Engine::new(config).with_count_registry(
-        CountRegistry::standard().without(cq_core::CountMethod::TreeDecompositionDp),
-    );
+    let engine = Engine::new(config);
     let star = families::star(3);
+    let plan = engine.prepare(&star);
     for t in [
         families::clique(3),
         families::cycle(6),
         families::grid(3, 3),
     ] {
         let expected = count_homomorphisms_bruteforce(&star, &t);
-        assert_eq!(full.count_instance(&star, &t).count, expected);
-        assert_eq!(forest_first.count_instance(&star, &t).count, expected);
-        assert_eq!(no_structural.count_instance(&star, &t).count, expected);
+        let report = engine.count_instance(&star, &t);
+        assert_eq!(report.method, CountMethod::TreeDecompositionDp);
+        assert_eq!(report.count, expected);
+        let index = engine.instance_index(&t);
+        for method in [CountMethod::ForestSumProduct, CountMethod::BruteForce] {
+            assert!(method.admits(report.widths, &config));
+            assert_eq!(
+                plan.count(method, &t, &index),
+                expected,
+                "{method:?} -> {t}"
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
-//! Differential solver oracle: on a seeded corpus of random (query,
-//! structure) pairs, every structural solver of the registry
-//! ([`TreeDepthSolver`], [`PathDpSolver`], [`TreeDecSolver`]) must return
-//! the same decision as the structure-agnostic [`BacktrackSolver`].
+//! Differential decision oracle: on a seeded corpus of random (query,
+//! structure) pairs, every structural tier of [`SolverChoice`]
+//! (`TreeDepth`, `PathDecomposition`, `TreeDecomposition`) must return the
+//! same decision as the structure-agnostic `Backtracking` tier.
 //!
 //! The backtracking search is the reference because it uses none of the
 //! prepared certificates beyond the query itself — a disagreement means a
@@ -13,14 +13,11 @@
 //! fan-out, cache sharding) cheap to attempt: any plan-level corruption
 //! surfaces as a solver disagreement on some corpus pair.
 
-use cq_core::{
-    BacktrackSolver, EngineConfig, HomSolver, PathDpSolver, PreparedQuery, TreeDecSolver,
-    TreeDepthSolver,
-};
+use cq_core::{EngineConfig, PreparedQuery, SolverChoice};
 use cq_structures::{homomorphism_exists, Structure, StructureIndex};
 use cq_workloads::{random_digraph_structure, random_graph_structure};
 
-/// Thresholds generous enough that every structural solver admits most of
+/// Thresholds generous enough that every structural tier admits most of
 /// the corpus (so the oracle actually compares them), but small enough that
 /// the path-sweep frontier (`|B|^{pw+1}`) stays testable.
 fn oracle_config() -> EngineConfig {
@@ -76,34 +73,29 @@ fn corpus() -> Vec<(String, Structure, Structure)> {
 #[test]
 fn every_registry_solver_agrees_with_backtracking_on_the_corpus() {
     let config = oracle_config();
-    let reference = BacktrackSolver::default();
-    let structural: [(&str, &dyn HomSolver); 3] = [
-        ("TreeDepthSolver", &TreeDepthSolver),
-        ("PathDpSolver", &PathDpSolver),
-        ("TreeDecSolver", &TreeDecSolver),
-    ];
+    let fail_first = config.backtrack.fail_first_ordering;
 
     let mut comparisons = 0usize;
     let mut disagreements = Vec::new();
     for (label, query, target) in corpus() {
         let prepared = PreparedQuery::prepare(&query, &config);
         let index = StructureIndex::new(&target);
-        let expected = reference.solve(&prepared, &target, &index).exists;
+        let expected = prepared.decide(SolverChoice::Backtracking, &index, fail_first);
         // The reference itself must match the brute-force ground truth.
         assert_eq!(
             expected,
             homomorphism_exists(&query, &target),
             "backtracking reference wrong on {label}: {query} -> {target}"
         );
-        for (name, solver) in structural {
-            if !solver.admits(&prepared, &config) {
+        for choice in SolverChoice::STANDARD {
+            if choice == SolverChoice::Backtracking || !choice.admits(prepared.widths(), &config) {
                 continue;
             }
             comparisons += 1;
-            let got = solver.solve(&prepared, &target, &index).exists;
+            let got = prepared.decide(choice, &index, fail_first);
             if got != expected {
                 disagreements.push(format!(
-                    "{name} says {got}, backtracking says {expected} on {label}:\n  query  {query}\n  target {target}"
+                    "{choice:?} says {got}, backtracking says {expected} on {label}:\n  query  {query}\n  target {target}"
                 ));
             }
         }
@@ -115,7 +107,7 @@ fn every_registry_solver_agrees_with_backtracking_on_the_corpus() {
         disagreements.join("\n")
     );
     // The oracle must not silently go vacuous (e.g. thresholds drifting so
-    // no structural solver ever admits a corpus query).
+    // no structural tier ever admits a corpus query).
     assert!(
         comparisons >= 100,
         "only {comparisons} solver comparisons ran — corpus or thresholds degenerated"
@@ -125,7 +117,7 @@ fn every_registry_solver_agrees_with_backtracking_on_the_corpus() {
 /// Kernel-vs-reference oracle: every kernel evaluation path (indexed tree
 /// DP, staircase sweep, forest decision, whole-query search) must agree
 /// with the **retained reference implementation** of its tier on every
-/// corpus pair — the differential guarantee that lets the registry
+/// corpus pair — the differential guarantee that lets the tiers
 /// dispatch to the kernel while the reference survives as ground truth.
 #[test]
 fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
@@ -227,8 +219,8 @@ fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
 }
 
 /// The oracle repeated through prepared-plan reuse: solving the same corpus
-/// through one engine (warm plan cache, every tier dispatched by the
-/// registry) matches brute force.  Guards the cache + dispatch composition
+/// through one engine (warm plan cache, every tier dispatched in standard
+/// order) matches brute force.  Guards the cache + dispatch composition
 /// rather than individual solvers.
 #[test]
 fn engine_dispatch_over_the_corpus_matches_brute_force() {

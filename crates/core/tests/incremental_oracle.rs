@@ -21,7 +21,7 @@
 //! engine's freshly built table must assign every tuple the same weight
 //! even though churn permutes row ids via swap-remove.
 
-use cq_core::{CountMethod, Engine, EngineConfig};
+use cq_core::{AggregateObjective, CountMethod, Engine, EngineConfig};
 use cq_structures::{count_homomorphisms_bruteforce, families, Structure, SymbolId, TupleWeights};
 use cq_workloads::{mutation_traffic, random_digraph_structure, random_graph_structure};
 
@@ -130,8 +130,9 @@ fn delta_path_agrees_with_a_cold_engine_after_every_round() {
                     );
                     tree_dp_counts += 1;
                 }
-                let warm_min = warm.evaluate_min_cost(query, &now, &weights);
-                let cold_min = cold.evaluate_min_cost(query, &now, &cold_weights);
+                let warm_min = warm.aggregate(query, &now, &weights, AggregateObjective::MinCost);
+                let cold_min =
+                    cold.aggregate(query, &now, &cold_weights, AggregateObjective::MinCost);
                 assert_eq!(
                     warm_min.value, cold_min.value,
                     "{label} round {round} query {qi}: delta-path min-cost diverged"

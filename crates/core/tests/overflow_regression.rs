@@ -6,10 +6,7 @@
 //! `u64::MAX`; the engine must now report a typed
 //! [`CountOutcome::Overflow`], never a clamped number.
 
-use cq_core::{
-    BruteForceCountSolver, CountMethod, CountOutcome, CountRegistry, Engine, EngineConfig,
-    ForestCountSolver, TreeDecCountSolver,
-};
+use cq_core::{CountMethod, CountOutcome, Engine, EngineConfig};
 use cq_structures::families;
 
 #[test]
@@ -30,24 +27,24 @@ fn astronomical_counts_overflow_instead_of_clamping() {
     assert_eq!(report.count.exact(), None);
 
     // #hom(star(11), K_100) = 100 · 99^11 ≈ 9e23: the default path counts
-    // it through the tree DP, and a forest-first registry through the
-    // forest sum-product reference (a star has treedepth 2).
+    // it through the tree DP, and the forest sum-product reference (a star
+    // has treedepth 2) overflows just the same.
     let star = families::star(11);
     let k100 = families::clique(100);
     let report = engine.count_instance(&star, &k100);
     assert_eq!(report.method, CountMethod::TreeDecompositionDp);
     assert_eq!(report.count, CountOutcome::Overflow);
     assert!(report.count.positive());
-    let forest_first =
-        Engine::new(EngineConfig::default()).with_count_registry(CountRegistry::new(vec![
-            Box::new(ForestCountSolver),
-            Box::new(TreeDecCountSolver),
-            Box::new(BruteForceCountSolver),
-        ]));
-    let report = forest_first.count_instance(&star, &k100);
-    assert_eq!(report.method, CountMethod::ForestSumProduct);
-    assert_eq!(report.count, CountOutcome::Overflow);
-    assert!(report.count.positive());
+    let plan = engine.prepare(&star);
+    let index = engine.instance_index(&k100);
+    for method in [
+        CountMethod::ForestSumProduct,
+        CountMethod::TreeDecompositionDp,
+    ] {
+        let count = plan.count(method, &k100, &index);
+        assert_eq!(count, CountOutcome::Overflow, "{method:?}");
+        assert!(count.positive());
+    }
 
     // Control: one vertex shorter on the same tiers stays finite and
     // exact, so the overflow above is a property of the count, not of the

@@ -1,8 +1,8 @@
 //! Behavioural tests of the plan cache: equivalent queries hit, distinct
 //! queries miss, and cached plans answer exactly like cold preparation —
-//! across every solver tier of the registry.
+//! across every decision tier.
 
-use cq_core::{Engine, EngineConfig, SolverChoice, SolverRegistry};
+use cq_core::{Engine, EngineConfig, SolverChoice};
 use cq_structures::{families, homomorphism_exists, relabeled, star_expansion, Structure};
 
 /// `cycle(7)` built with two different vertex orderings is the same
@@ -112,16 +112,12 @@ fn relabelled_cache_hits_answer_correctly() {
     assert_eq!(engine.cache_stats().misses, 1);
 }
 
-/// Plan caching composes with registry ablations: an engine with the
+/// Plan caching composes with tier ablations: an engine with the
 /// tree-depth tier removed still caches, still answers correctly, and
 /// dispatches the affected queries to the next tier.
 #[test]
 fn ablated_engine_caches_and_answers_correctly() {
-    let cfg = EngineConfig::default();
-    let engine = Engine::with_registry(
-        cfg,
-        SolverRegistry::standard(&cfg).without(SolverChoice::TreeDepth),
-    );
+    let engine = Engine::new(EngineConfig::default()).without_tier(SolverChoice::TreeDepth);
     let star = families::star(5);
     for _ in 0..3 {
         let report = engine.solve(&star, &families::clique(3));

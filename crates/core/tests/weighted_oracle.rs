@@ -1,11 +1,11 @@
 //! Differential **weighted-aggregate** oracle: on a seeded corpus of
-//! random (query, structure, weights) triples, every aggregate solver of
-//! the [`AggregateRegistry`] must return the same min-cost / max-weight as
+//! random (query, structure, weights) triples, every tier of
+//! [`PreparedQuery::aggregate`] must return the same min-cost / max-weight as
 //! the structure-agnostic reference (enumerate every homomorphism with
 //! [`homomorphisms_iter`], cost each by summing image-tuple weights) — the
 //! weighted analogue of `counting_oracle.rs`.
 //!
-//! Weighted aggregates share counting's failure mode (a solver silently
+//! Weighted aggregates share counting's failure mode (a tier silently
 //! optimizing over the **core**'s homomorphisms misses cost-distinct
 //! homomorphisms the core collapses), plus one of their own: a kernel bag
 //! charging a tuple's weight twice (or not at all) still *decides* and
@@ -13,10 +13,7 @@
 //! corpus weights are deliberately non-uniform so every double-charge
 //! shifts some optimum.
 
-use cq_core::{
-    AggregateObjective, AggregateRegistry, AggregateSolver, Engine, EngineConfig, PreparedQuery,
-    SearchAggregateSolver, TreeDecAggregateSolver,
-};
+use cq_core::{AggregateObjective, CountMethod, Engine, EngineConfig, PreparedQuery};
 use cq_structures::{homomorphisms_iter, Structure, StructureIndex, TupleWeights};
 use cq_workloads::{random_digraph_structure, random_graph_structure, weighted_traffic};
 
@@ -116,9 +113,10 @@ fn corpus() -> Vec<(String, Structure, Structure)> {
 #[test]
 fn every_aggregate_solver_agrees_with_bruteforce_on_the_corpus() {
     let config = oracle_config();
-    let solvers: [(&str, &dyn AggregateSolver); 2] = [
-        ("TreeDecAggregateSolver", &TreeDecAggregateSolver),
-        ("SearchAggregateSolver", &SearchAggregateSolver),
+    let methods = [
+        CountMethod::ForestSumProduct,
+        CountMethod::TreeDecompositionDp,
+        CountMethod::BruteForce,
     ];
 
     let mut comparisons = 0usize;
@@ -128,8 +126,8 @@ fn every_aggregate_solver_agrees_with_bruteforce_on_the_corpus() {
         let index = StructureIndex::new(&target);
         let weights = test_weights(&target);
         let (expected_min, expected_max) = bruteforce_aggregates(&query, &target, &index, &weights);
-        for (name, solver) in solvers {
-            if !solver.admits(&prepared, &config) {
+        for method in methods {
+            if !method.admits(prepared.counting_widths(), &config) {
                 continue;
             }
             for (objective, expected) in [
@@ -137,10 +135,10 @@ fn every_aggregate_solver_agrees_with_bruteforce_on_the_corpus() {
                 (AggregateObjective::MaxWeight, expected_max),
             ] {
                 comparisons += 1;
-                let got = solver.evaluate(&prepared, &target, &index, &weights, objective);
+                let got = prepared.aggregate(method, &index, &weights, objective);
                 if got != expected {
                     disagreements.push(format!(
-                        "{name} {objective} says {got:?}, brute force says {expected:?} on {label}:\n  query  {query}\n  target {target}"
+                        "{method:?} {objective} says {got:?}, brute force says {expected:?} on {label}:\n  query  {query}\n  target {target}"
                     ));
                 }
             }
@@ -160,7 +158,7 @@ fn every_aggregate_solver_agrees_with_bruteforce_on_the_corpus() {
 }
 
 /// The engine entry points against the closed-form weighted workload:
-/// `evaluate_min_cost` / `evaluate_max_weight` must reproduce every
+/// `Engine::aggregate` under both objectives must reproduce every
 /// closed form through the cached-plan path (the workload's query fleet
 /// crosses the core-invariance trap on every other instance).
 #[test]
@@ -168,8 +166,8 @@ fn engine_matches_the_closed_forms_of_the_weighted_workload() {
     let w = weighted_traffic(&[3, 4, 5], 4, 11);
     let engine = Engine::new(oracle_config());
     for (i, (query, db, weights)) in w.instances().into_iter().enumerate() {
-        let min = engine.evaluate_min_cost(query, db, weights);
-        let max = engine.evaluate_max_weight(query, db, weights);
+        let min = engine.aggregate(query, db, weights, AggregateObjective::MinCost);
+        let max = engine.aggregate(query, db, weights, AggregateObjective::MaxWeight);
         assert_eq!(
             min.value, w.expected_min[i],
             "min-cost wrong on trace entry {i} ({query} -> {db}), method {:?}",
@@ -189,7 +187,7 @@ fn engine_matches_the_closed_forms_of_the_weighted_workload() {
     assert_eq!(engine.prep_stats().preparations, 4);
 }
 
-/// Weighted batch determinism: `min_cost_batch` / `max_weight_batch` under
+/// Weighted batch determinism: `aggregate_batch` under both objectives and
 /// any worker count return sequences bit-identical to the sequential path
 /// (the guarantee `count_batch` makes, extended to aggregates).
 #[test]
@@ -200,8 +198,8 @@ fn weighted_batches_are_bit_identical_across_worker_counts() {
         workers: 1,
         ..oracle_config()
     });
-    let expected_min = sequential.min_cost_batch(&instances);
-    let expected_max = sequential.max_weight_batch(&instances);
+    let expected_min = sequential.aggregate_batch(&instances, AggregateObjective::MinCost);
+    let expected_max = sequential.aggregate_batch(&instances, AggregateObjective::MaxWeight);
     for (i, report) in expected_min.iter().enumerate() {
         assert_eq!(
             report.value, w.expected_min[i],
@@ -214,14 +212,14 @@ fn weighted_batches_are_bit_identical_across_worker_counts() {
             ..oracle_config()
         });
         assert_eq!(
-            parallel.min_cost_batch(&instances),
+            parallel.aggregate_batch(&instances, AggregateObjective::MinCost),
             expected_min,
-            "min_cost_batch diverged at workers={workers}"
+            "min-cost batch diverged at workers={workers}"
         );
         assert_eq!(
-            parallel.max_weight_batch(&instances),
+            parallel.aggregate_batch(&instances, AggregateObjective::MaxWeight),
             expected_max,
-            "max_weight_batch diverged at workers={workers}"
+            "max-weight batch diverged at workers={workers}"
         );
         assert_eq!(
             parallel.prep_stats().preparations,
@@ -232,29 +230,29 @@ fn weighted_batches_are_bit_identical_across_worker_counts() {
 }
 
 /// No homomorphism means `None` on both objectives through the engine —
-/// and an ablated aggregate registry changes the dispatched tier, never
-/// the value.
+/// and swapping the aggregate tier changes the method, never the value.
 #[test]
 fn unsatisfiable_instances_and_ablations_behave() {
-    use cq_core::CountMethod;
     use cq_structures::families;
+    use AggregateObjective::{MaxWeight, MinCost};
     let engine = Engine::new(oracle_config());
     // C3 has no homomorphism into bipartite C4.
     let c3 = families::cycle(3);
     let c4 = families::cycle(4);
     let weights = TupleWeights::uniform(&c4, 1);
-    assert_eq!(engine.evaluate_min_cost(&c3, &c4, &weights).value, None);
-    assert_eq!(engine.evaluate_max_weight(&c3, &c4, &weights).value, None);
+    assert_eq!(engine.aggregate(&c3, &c4, &weights, MinCost).value, None);
+    assert_eq!(engine.aggregate(&c3, &c4, &weights, MaxWeight).value, None);
 
     let star = families::star(3);
     let k4 = families::clique(4);
     let wk4 = test_weights(&k4);
-    let full = engine.evaluate_min_cost(&star, &k4, &wk4);
+    let full = engine.aggregate(&star, &k4, &wk4, MinCost);
     assert_eq!(full.method, CountMethod::TreeDecompositionDp);
-    let ablated_engine = Engine::new(oracle_config()).with_aggregate_registry(
-        AggregateRegistry::standard().without(CountMethod::TreeDecompositionDp),
+    let plan = engine.prepare(&star);
+    let index = engine.instance_index(&k4);
+    let searched = plan.aggregate(CountMethod::BruteForce, &index, &wk4, MinCost);
+    assert_eq!(
+        full.value, searched,
+        "swapping the tier changed the optimum"
     );
-    let ablated = ablated_engine.evaluate_min_cost(&star, &k4, &wk4);
-    assert_eq!(ablated.method, CountMethod::BruteForce);
-    assert_eq!(full.value, ablated.value, "ablation changed the optimum");
 }

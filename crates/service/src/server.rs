@@ -11,8 +11,8 @@
 //!                 │     decode,          Busy when full)       │ coalesce_limit
 //!                 │     enqueue)                               │ jobs, partitions
 //!                 ▼                                            ▼ decide/count
-//!             writer thread ◄── per-request reply channels ◄── solve_batch /
-//!               (frames out, in request order — pipelining)    count_batch
+//!             writer thread ◄── per-request reply channels ◄── solve_prepared /
+//!               (frames out, in request order — pipelining)    count_prepared
 //! ```
 //!
 //! * **Admission control**: connections over `max_connections` are refused
@@ -26,9 +26,11 @@
 //!   [`ErrorCode::Busy`] answer, never a disconnect.
 //! * **Coalescing**: the dispatcher greedily drains whatever singleton
 //!   decide/count jobs are queued — across *all* connections — and answers
-//!   them through one `solve_batch_instances` / `count_batch` fan-out over
-//!   the engine's worker pool, so concurrent single-request clients get
-//!   batch throughput without asking for it.
+//!   each kind as one round, evaluating the jobs one by one on the
+//!   dispatcher thread with `Engine::solve_prepared` /
+//!   `Engine::count_prepared` against their already-prepared plans, so
+//!   concurrent single-request clients share one queue wake-up and one
+//!   round of bookkeeping.
 //! * **Slow clients**: a peer that stalls mid-frame (or stops reading its
 //!   responses) is disconnected after `io_timeout` without progress; a peer
 //!   idling *between* frames is fine.
@@ -869,11 +871,10 @@ fn write_loop(
     }
 }
 
-/// Dispatcher: drain queued jobs (up to `coalesce_limit` per round),
-/// partition singletons by kind, and answer each round through the
-/// engine's batch fan-outs.  Exits only when shutdown is flagged *and* the
-/// queue is verifiably empty under the lock — every admitted job is
-/// answered.
+/// Dispatcher: drain queued jobs (up to `coalesce_limit` per round) and
+/// hand them to [`run_round`], which evaluates them on this thread.  Exits
+/// only when shutdown is flagged *and* the queue is verifiably empty under
+/// the lock — every admitted job is answered.
 fn dispatcher_loop(shared: &Arc<Shared>) {
     loop {
         let jobs = {
@@ -897,10 +898,10 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Execute one drained round: coalesce singleton decides into one
-/// `solve_batch_instances` call, singleton counts into one `count_batch`
-/// call, and run explicit batches — and the answer jobs of protocol
-/// version 4 — as their own fan-outs.
+/// Execute one drained round on the dispatcher thread: singleton decides
+/// form one round and singleton counts another, each evaluated job by job
+/// through [`evaluate_prepared`]; explicit batches — and the answer jobs
+/// of protocol version 4 — run as rounds of their own.
 fn run_round(shared: &Arc<Shared>, jobs: Vec<Job>) {
     let mut decides: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = Vec::new();
     let mut counts: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = Vec::new();
@@ -932,7 +933,7 @@ fn run_round(shared: &Arc<Shared>, jobs: Vec<Job>) {
                 .coalesced_requests
                 .fetch_add(decides.len() as u64, Ordering::Relaxed);
         }
-        let reports = solve_prepared_batch(shared, &decides);
+        let reports = evaluate_prepared(shared, &decides, decide_one, "decision evaluation failed");
         for ((_, _, reply), report) in decides.iter().zip(reports) {
             let _ = reply.send(report);
         }
@@ -948,7 +949,7 @@ fn run_round(shared: &Arc<Shared>, jobs: Vec<Job>) {
                 .coalesced_requests
                 .fetch_add(counts.len() as u64, Ordering::Relaxed);
         }
-        let reports = count_prepared_batch(shared, &counts);
+        let reports = evaluate_prepared(shared, &counts, count_one, "count evaluation failed");
         for ((_, _, reply), report) in counts.iter().zip(reports) {
             let _ = reply.send(report);
         }
@@ -964,7 +965,8 @@ fn run_round(shared: &Arc<Shared>, jobs: Vec<Job>) {
                     .into_iter()
                     .map(|(q, d)| (q, d, reply.clone()))
                     .collect();
-                let reports: Vec<Response> = solve_prepared_batch(shared, &singles);
+                let reports: Vec<Response> =
+                    evaluate_prepared(shared, &singles, decide_one, "decision evaluation failed");
                 let mut out = Vec::with_capacity(reports.len());
                 for r in reports {
                     match r {
@@ -982,7 +984,8 @@ fn run_round(shared: &Arc<Shared>, jobs: Vec<Job>) {
                     .into_iter()
                     .map(|(q, d)| (q, d, reply.clone()))
                     .collect();
-                let reports: Vec<Response> = count_prepared_batch(shared, &singles);
+                let reports: Vec<Response> =
+                    evaluate_prepared(shared, &singles, count_one, "count evaluation failed");
                 let mut out = Vec::with_capacity(reports.len());
                 for r in reports {
                     match r {
@@ -1030,44 +1033,28 @@ fn run_round(shared: &Arc<Shared>, jobs: Vec<Job>) {
     }
 }
 
-/// One decide fan-out over already-prepared plans.  Panics inside the
-/// engine (pathological databases) surface as [`ErrorCode::Internal`]
-/// responses, never a dead dispatcher.
-fn solve_prepared_batch(
-    shared: &Arc<Shared>,
-    items: &[(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)],
-) -> Vec<Response> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        items
-            .iter()
-            .map(|(plan, database, _)| {
-                Response::Decision(shared.engine.solve_prepared(plan, database))
-            })
-            .collect::<Vec<Response>>()
-    }));
-    result.unwrap_or_else(|_| {
-        items
-            .iter()
-            .map(|_| Response::Error {
-                code: ErrorCode::Internal,
-                message: "decision evaluation failed".to_string(),
-                offset: None,
-            })
-            .collect()
-    })
+fn decide_one(engine: &Engine, plan: &PreparedQuery, database: &Structure) -> Response {
+    Response::Decision(engine.solve_prepared(plan, database))
 }
 
-/// One count fan-out over already-prepared plans.
-fn count_prepared_batch(
+fn count_one(engine: &Engine, plan: &PreparedQuery, database: &Structure) -> Response {
+    Response::Count(engine.count_prepared(plan, database))
+}
+
+/// Evaluate jobs over already-prepared plans one by one with `eval`
+/// ([`decide_one`] or [`count_one`]).  A panic inside the engine
+/// (pathological databases) answers every job of the round with an
+/// [`ErrorCode::Internal`] carrying `failure`, never a dead dispatcher.
+fn evaluate_prepared(
     shared: &Arc<Shared>,
     items: &[(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)],
+    eval: fn(&Engine, &PreparedQuery, &Structure) -> Response,
+    failure: &str,
 ) -> Vec<Response> {
     let result = catch_unwind(AssertUnwindSafe(|| {
         items
             .iter()
-            .map(|(plan, database, _)| {
-                Response::Count(shared.engine.count_prepared(plan, database))
-            })
+            .map(|(plan, database, _)| eval(&shared.engine, plan, database))
             .collect::<Vec<Response>>()
     }));
     result.unwrap_or_else(|_| {
@@ -1075,7 +1062,7 @@ fn count_prepared_batch(
             .iter()
             .map(|_| Response::Error {
                 code: ErrorCode::Internal,
-                message: "count evaluation failed".to_string(),
+                message: failure.to_string(),
                 offset: None,
             })
             .collect()

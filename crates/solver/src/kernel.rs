@@ -1,5 +1,5 @@
 //! The flat evaluation kernel: indexed, allocation-light inner loops for
-//! every DP solver in the registry — one **semiring-generic**
+//! every DP tier of the engine — one **semiring-generic**
 //! sum-of-products.
 //!
 //! The reference implementations (`crate::treedec`, `crate::pathdp`,

@@ -20,7 +20,7 @@
 //! The table above names the **reference** implementations; the [`kernel`]
 //! module provides the indexed, flat-row production counterparts of each
 //! (compiled bag programs, prefilter domains, separator hash-joins) that
-//! the engine's registries actually dispatch to — the reference versions
+//! the engine's tiers actually dispatch to — the reference versions
 //! are retained as the oracle the kernel is differentially tested against.
 
 #![forbid(unsafe_code)]

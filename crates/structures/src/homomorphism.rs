@@ -284,7 +284,7 @@ impl<'a> Search<'a> {
     /// `false` continues enumeration.
     ///
     /// The assignment is passed by reference, so visitors that only count
-    /// (the brute-force counting oracle of the registry) run the entire
+    /// (the engine's brute-force counting tier) run the entire
     /// enumeration without a single per-assignment allocation; visitors that
     /// keep the map collect it themselves.
     fn recurse<F: FnMut(&[Option<Element>]) -> bool>(

@@ -172,8 +172,8 @@ impl BatchWorkload {
 }
 
 /// A deterministic repeated-query trace over graph-shaped queries (stars,
-/// paths, odd cycles — one query per structural tier of the engine's solver
-/// registry) against a fleet of random graph databases.  Every query occurs
+/// paths, odd cycles — one query per structural decision tier of the
+/// engine) against a fleet of random graph databases.  Every query occurs
 /// `repeats_per_query` times; the interleaving is seeded and shuffled so
 /// cache behaviour is realistic rather than perfectly clustered.
 pub fn repeated_query_traffic(
@@ -384,7 +384,7 @@ pub struct WeightedWorkload {
 
 impl WeightedWorkload {
     /// The instances of the trace as (query, database, weights) triples,
-    /// borrowed from the workload (the shape `Engine::min_cost_batch`
+    /// borrowed from the workload (the shape `Engine::aggregate_batch`
     /// consumes).
     pub fn instances(&self) -> Vec<(&Structure, &Structure, &cq_structures::TupleWeights)> {
         self.trace

@@ -5,6 +5,7 @@
 //! structures (the workload generators are seeded, so failures reproduce
 //! exactly; the failing `(n, seed)` pair is in every assertion message).
 
+use cq_fine::classification::AggregateObjective::MinCost;
 use cq_fine::classification::{Engine, EngineConfig};
 use cq_fine::decomp::width_profile;
 use cq_fine::graphs::gaifman_graph;
@@ -205,7 +206,7 @@ fn counting_is_positive_exactly_when_decision_succeeds() {
 }
 
 /// Kernel determinism under fan-out: the evaluation kernel behind every
-/// registry solver produces **bit-identical** decision reports and counts
+/// engine tier produces **bit-identical** decision reports and counts
 /// with `workers = 1` and `workers = 4` on the kernel stress trace (the
 /// tree-DP/counting regime of bench E16) — the instance-index cache and
 /// the hash-join tables introduce no cross-thread nondeterminism.
@@ -452,8 +453,8 @@ fn tuple_weights_stay_aligned_under_delta_churn() {
             let fresh = TupleWeights::from_fn(&current, |sym, _, t| wf(sym, t));
             assert_eq!(weights, fresh, "{label}: a slot holds a stale weight");
             assert_eq!(
-                engine.evaluate_min_cost(&query, &current, &weights).value,
-                engine.evaluate_min_cost(&query, &current, &fresh).value,
+                engine.aggregate(&query, &current, &weights, MinCost).value,
+                engine.aggregate(&query, &current, &fresh, MinCost).value,
                 "{label}: maintained and rebuilt weights must aggregate alike"
             );
         }
