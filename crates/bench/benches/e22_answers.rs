@@ -6,9 +6,10 @@
 //! are identical draws): against the endpoint query
 //! `S(x0,x1) ∧ R0(x1,x2) ∧ R1(x2,x3)` with `x0, x3` free, the total
 //! answer count scales with `|S|` while the structural work per cursor
-//! step (pinned DP passes over the same fact relations, candidate scans
-//! over the same 4000-element domains) does not.  That contrast is the
-//! whole point of the pinned-prefix cursor behind [`Engine::answers`]:
+//! step (pinned DP passes over the same fact relations, whose unpinned
+//! depths walk posting lists rather than the 4000-element domains) does
+//! not.  That contrast is the whole point of the pinned-prefix cursor
+//! behind [`Engine::answers`]:
 //!
 //! * **first-answer latency** — one warm `answers(offset 0, limit 1)`
 //!   call: the cursor descends to the lexicographically least answer and
@@ -16,8 +17,10 @@
 //! * **per-answer delay** — the marginal cost of a row inside one page,
 //!   `(T(prefix) − T(first)) / (prefix − 1)`;
 //! * **count cost** — [`Engine::count_answers`] for contrast: the grouped
-//!   root-bag DP *does* touch every answer group, so its cost legitimately
-//!   grows with the answer count the cursor is insensitive to.
+//!   root-bag DP over the answer closure (each free element adjoined only
+//!   on its path to the root bag) *does* touch every answer group, so its
+//!   cost legitimately grows with the answer count the cursor is
+//!   insensitive to.
 //!
 //! The gated headline is `delay_ratio`: the max/min per-answer delay
 //! across variants whose total answer counts span a gated factor
@@ -38,9 +41,11 @@
 //!
 //! Full mode writes the machine-readable `BENCH_E22.json` at the
 //! repository root and asserts the acceptance ceilings; quick mode
-//! (`CQ_BENCH_QUICK=1`, the CI bench-smoke step) runs only the sparsest
-//! variant and a 16x-denser one and gates the same ratios against
-//! generous ceilings.
+//! (`CQ_BENCH_QUICK=1`, the CI bench-smoke step) runs the same four
+//! variants with a shorter prefix, gates the same ratios against generous
+//! ceilings, and holds every variant's count and per-answer delay within
+//! 4x of the values recorded in `BENCH_E22.json` — so a cursor or count
+//! pass that slows uniformly, leaving the ratios flat, still fails.
 
 use cq_bench::{json_field_f64, min_time, quick_mode, timing_runs};
 use cq_core::{AnswerMethod, Engine, EngineConfig};
@@ -60,8 +65,10 @@ const DENSITIES: [usize; 4] = [100, 400, 1_600, 6_400];
 
 /// The endpoint query: which pairs `(x0, x3)` are joined by a selective
 /// edge followed by a two-hop fact path?  Treewidth 1, so the answer DP
-/// is licensed under the default engine thresholds; the adjoined answer
-/// decomposition pays the two free elements in width.
+/// is licensed under the default engine thresholds.  The count runs over
+/// the answer closure (width 2 when the root bag holds `x0`: only `x3`
+/// travels); the cursor's fully adjoined decomposition pays both free
+/// elements (width 3).
 fn endpoint_query() -> ConjunctiveQuery {
     let mut q = ConjunctiveQuery::new();
     q.atom("S", &["x0", "x1"]);
@@ -122,21 +129,13 @@ impl Report {
 
 fn run(config: &EngineConfig) -> Report {
     let query = endpoint_query();
-    // Quick mode keeps the sparsest variant and the 16x-denser one (still
-    // a comfortably gated answer span) rather than the 64x-denser top
-    // variant, whose grouped count pass alone costs over half a minute.
-    let densities: Vec<usize> = if quick_mode() {
-        vec![DENSITIES[0], DENSITIES[2]]
-    } else {
-        DENSITIES.to_vec()
-    };
     let prefix = if quick_mode() { 64 } else { 256 };
     let runs = timing_runs(2, 3);
-    // The count pass is informational contrast (its cost legitimately
-    // grows with the answer count), and it is a deterministic multi-second
-    // sweep on the dense variants — time it sparingly.
+    // The count pass is contrast (its cost legitimately grows with the
+    // answer count) and the slowest call on the dense variants — time it
+    // sparingly.
     let count_runs = timing_runs(1, 2);
-    let corpora: Vec<(usize, Structure)> = densities
+    let corpora: Vec<(usize, Structure)> = DENSITIES
         .iter()
         .map(|&s| {
             let db = scale_corpus(ELEMS, FACT_RELATIONS, FACT_TUPLES, s, CORPUS_SEED);
@@ -149,7 +148,7 @@ fn run(config: &EngineConfig) -> Report {
         })
         .collect();
     println!(
-        "E22: {ELEMS} elements, {} tuples, |S| in {densities:?} | prefix {prefix} rows",
+        "E22: {ELEMS} elements, {} tuples, |S| in {DENSITIES:?} | prefix {prefix} rows",
         corpora[0].1.tuple_count()
     );
 
@@ -266,8 +265,8 @@ fn run(config: &EngineConfig) -> Report {
         let delay_us =
             (t_prefix.saturating_sub(t_first).as_secs_f64() * 1e6 / (prefix - 1) as f64).max(0.001);
         println!(
-            "  |S|={s:<5} answers {:>8} | count {count_ms:>9.3} ms | first answer {first_us:>9.1} us | per-answer delay {delay_us:>8.2} us",
-            report.answers
+            "  |S|={s:<5} answers {:>8} | answer width {} | count {count_ms:>9.3} ms | first answer {first_us:>9.1} us | per-answer delay {delay_us:>8.2} us",
+            report.answers, report.answer_width
         );
         rows.push(VariantRow {
             selective_tuples: *s,
@@ -352,23 +351,24 @@ fn bench(c: &mut Criterion) {
 
 /// The CI regression gate of quick mode: the same span floor and ratio
 /// ceilings as full mode, with slack for shared-runner noise and the
-/// shorter (64-row, two-variant) measurement.
+/// shorter (64-row) measurement, plus absolute ceilings — each variant's
+/// count and per-answer delay within [`ABSOLUTE_SLACK`] of the recorded
+/// full-mode run.  The ratios alone would pass a uniformly slow cursor.
 fn gate_against_baseline(report: &Report) {
     const SPAN_FLOOR: f64 = 4.0;
     const DELAY_CEIL: f64 = 8.0;
     const FIRST_CEIL: f64 = 12.0;
+    const ABSOLUTE_SLACK: f64 = 4.0;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E22.json");
     let recorded = std::fs::read_to_string(path)
-        .ok()
-        .as_deref()
-        .and_then(|json| json_field_f64(json, "\"delay_ratio\": "));
-    match recorded {
+        .unwrap_or_else(|e| panic!("E22 quick mode gates against {path}: {e}"));
+    match json_field_f64(&recorded, "\"delay_ratio\": ") {
         Some(r) => println!(
             "  quick-mode gate: delay ratio {:.2}x | baseline {r:.2}x",
             report.delay_ratio()
         ),
         None => println!(
-            "  quick-mode gate: delay ratio {:.2}x (no readable baseline)",
+            "  quick-mode gate: delay ratio {:.2}x (no readable baseline ratio)",
             report.delay_ratio()
         ),
     }
@@ -390,9 +390,33 @@ fn gate_against_baseline(report: &Report) {
         "E22 regression: first-answer latency varies {:.2}x (ceiling {FIRST_CEIL}x)",
         report.first_ratio()
     );
+    for row in &report.rows {
+        let s = row.selective_tuples;
+        let line = recorded
+            .lines()
+            .find(|l| l.contains(&format!("\"selective_tuples\": {s},")))
+            .unwrap_or_else(|| panic!("{path} records no |S|={s} variant"));
+        for (name, measured, key) in [
+            ("count", row.count_ms, "\"count_ms\": "),
+            (
+                "per-answer delay",
+                row.delay_us,
+                "\"per_answer_delay_us\": ",
+            ),
+        ] {
+            let baseline = json_field_f64(line, key)
+                .unwrap_or_else(|| panic!("{path}: |S|={s} has no readable {key}"));
+            assert!(
+                measured <= ABSOLUTE_SLACK * baseline,
+                "E22 regression: |S|={s} {name} {measured:.2} exceeds {ABSOLUTE_SLACK}x \
+                 the recorded {baseline:.2}"
+            );
+        }
+    }
     println!(
         "  quick-mode gate passed: delay {:.2}x and first-answer {:.2}x ratios hold \
-         across a {:.1}x answer span",
+         across a {:.1}x answer span; every variant's count and delay within \
+         {ABSOLUTE_SLACK}x of the record",
         report.delay_ratio(),
         report.first_ratio(),
         report.answers_span()

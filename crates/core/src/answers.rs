@@ -12,8 +12,12 @@
 //! the counting certificates of
 //! [`PreparedQuery::counting_analysis`](crate::PreparedQuery::counting_analysis);
 //! unlike counting, the tractable regime pays a width price of at most the
-//! number of free variables (the free-adjoined decomposition of
-//! [`cq_decomp::TreeDecomposition::answer_decomposition`]).
+//! number of free variables: counts group the root rows of the answer
+//! closure ([`cq_decomp::TreeDecomposition::answer_closure`], each free
+//! variable adjoined only on its path to the root bag), and the cursor
+//! pins prefixes over the free-adjoined decomposition
+//! ([`cq_decomp::TreeDecomposition::answer_decomposition`], every free
+//! variable in every bag).
 //!
 //! The engine entry points are [`Engine::count_answers`] and the paged
 //! [`Engine::answers`] (with batch twins [`Engine::count_answers_batch`] /
@@ -35,7 +39,7 @@ use cq_decomp::WidthProfile;
 /// Which algorithm produced an answer count or answer page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnswerMethod {
-    /// The free-adjoined tree-decomposition DP / pinned-prefix cursor of
+    /// The answer-closure tree-decomposition DP / pinned-prefix cursor of
     /// [`cq_solver::kernel::AnswerProgram`] — the structurally licensed
     /// path (counting treewidth within the engine's threshold).
     TreeDecompositionDp,
@@ -64,10 +68,10 @@ pub struct AnswerCountReport {
     /// Width profile of the submitted query exactly as written (the
     /// counting widths — answers are not core-invariant).
     pub widths: WidthProfile,
-    /// Width of the free-adjoined decomposition the DP ran on (at most
-    /// `widths.treewidth + free_count`).  On the brute-force path, the
-    /// same `widths.treewidth + free_count` bound that the engine declined
-    /// to pay is reported.
+    /// Width of the answer closure the grouped DP ran on (at most
+    /// `widths.treewidth + free_count`, less when free variables sit near
+    /// the root bag).  On the brute-force path, the `widths.treewidth +
+    /// free_count` bound that the engine declined to pay is reported.
     pub answer_width: usize,
     /// Number of free variables (the arity of every answer row).
     pub free_count: usize,

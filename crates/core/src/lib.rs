@@ -38,7 +38,7 @@
 //!   - [`answers`] — free-variable answers: [`Engine::count_answers`]
 //!     counts the distinct projections of the homomorphisms onto a query's
 //!     free variables, and [`Engine::answers`] enumerates them in pages
-//!     with bounded delay through the free-adjoined decomposition DP of
+//!     with bounded delay, both through
 //!     [`cq_solver::kernel::AnswerProgram`];
 //!   - [`aggregates`] — the weighted generalization: min-cost / max-weight
 //!     homomorphisms through the same kernel DPs instantiated at the

@@ -116,8 +116,8 @@ struct IndexKernels {
     tree_count_retained: Mutex<Option<TreeIncrementalState<Nat>>>,
     /// Compiled [`AnswerProgram`]s keyed by free-element list (declared
     /// order matters — it is the answer-column order).  A plan may serve
-    /// answers under several free lists; each compiles its own
-    /// adjoined-decomposition DP, MRU-retained up to
+    /// answers under several free lists; each compiles its own pair of
+    /// answer DPs, MRU-retained up to
     /// [`MAX_ANSWER_PROGRAMS`].
     answers: Mutex<Vec<(Vec<Element>, Arc<AnswerProgram>)>>,
 }
@@ -514,10 +514,10 @@ impl PreparedQuery {
     }
 
     /// The compiled [`AnswerProgram`] for one free-element list against one
-    /// index: the **original** structure's counting tree decomposition with
-    /// the free elements adjoined to every bag (answers, like counts, are
-    /// not core-invariant — projecting homomorphisms of the core onto free
-    /// positions of the core would answer a different query).  Compiled on
+    /// index, built on the **original** structure's counting tree
+    /// decomposition (answers, like counts, are not core-invariant —
+    /// projecting homomorphisms of the core onto free positions of the
+    /// core would answer a different query).  Compiled on
     /// first use and MRU-cached per free list on the index's kernel bundle.
     ///
     /// `free` must be the canonical-structure elements of the free

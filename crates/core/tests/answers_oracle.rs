@@ -5,11 +5,13 @@
 //!
 //! The reference enumerates every homomorphism by plain backtracking and
 //! projects onto the free positions (sorted, deduplicated), using none of
-//! the prepared certificates: a disagreement means the free-adjoined
-//! decomposition DP, the pinned-prefix cursor, or the engine's paging is
-//! wrong.  On top of row-level agreement the suite pins the paging algebra
-//! (consecutive pages tile the full enumeration, `has_more` flips exactly
-//! at the end), the brute-force fallback (a treewidth threshold of zero
+//! the prepared certificates: a disagreement means the answer-closure DP
+//! behind the counts, the pinned-prefix cursor over the free-adjoined
+//! decomposition, or the engine's paging is wrong.  Queries whose free
+//! variables sit in distant bags exercise the two decompositions where
+//! they differ most.  On top of row-level agreement the suite pins the
+//! paging algebra (consecutive pages tile the full enumeration,
+//! `has_more` flips exactly at the end), the brute-force fallback (a treewidth threshold of zero
 //! must change the method, never the rows), the plan-reuse guard (an
 //! isomorphic-but-relabelled alias must not serve another query's answer
 //! columns), and worker-count determinism (batch answers are bit-identical
@@ -171,36 +173,142 @@ fn pages_tile_the_full_enumeration_with_exact_has_more_flags() {
             continue;
         }
         for page_size in [1usize, 2, 3, 7] {
-            let mut tiled: Vec<Vec<u32>> = Vec::new();
-            let mut offset = 0u64;
-            loop {
-                let page = engine.answers(&query, &target, offset, page_size);
-                assert_eq!(page.offset, offset, "{label}");
-                assert!(
-                    page.rows.len() <= page_size,
-                    "oversized page on {label} at offset {offset}"
-                );
-                let consumed = page.rows.len() as u64;
-                tiled.extend(page.rows);
-                if page.has_more {
-                    assert_eq!(
-                        consumed, page_size as u64,
-                        "has_more on a short page on {label} at offset {offset}"
-                    );
-                    offset += consumed;
-                } else {
-                    break;
-                }
-            }
             assert_eq!(
-                tiled, expected,
+                tile(&engine, &label, &query, &target, page_size),
+                expected,
                 "pages of size {page_size} do not tile on {label}: {query}"
             );
-            // One past the end: empty page, nothing follows.
-            let past = engine.answers(&query, &target, expected.len() as u64, page_size);
-            assert!(past.rows.is_empty() && !past.has_more, "{label}");
         }
     }
+}
+
+/// The rows of every page of `page_size` from offset 0, concatenated,
+/// checking the page algebra on the way: each page echoes its offset and
+/// is no longer than asked, `has_more` only on full pages, and the page
+/// one past the end is empty with nothing following.
+fn tile(
+    engine: &Engine,
+    label: &str,
+    query: &ConjunctiveQuery,
+    target: &Structure,
+    page_size: usize,
+) -> Vec<Vec<u32>> {
+    let mut tiled: Vec<Vec<u32>> = Vec::new();
+    loop {
+        let offset = tiled.len() as u64;
+        let page = engine.answers(query, target, offset, page_size);
+        assert_eq!(page.offset, offset, "{label}");
+        assert!(
+            page.rows.len() <= page_size,
+            "oversized page on {label} at offset {offset}"
+        );
+        let full = page.rows.len() == page_size;
+        tiled.extend(page.rows);
+        if !page.has_more {
+            break;
+        }
+        assert!(
+            full,
+            "has_more on a short page on {label} at offset {offset}"
+        );
+    }
+    let past = engine.answers(query, target, tiled.len() as u64, page_size);
+    assert!(past.rows.is_empty() && !past.has_more, "{label}");
+    tiled
+}
+
+/// Width-1 queries whose free variables lie in different, non-adjacent
+/// bags of any edge-bag decomposition — P5/P6 with free endpoints, a star
+/// with two free leaves, a tree with one free deep leaf — each also with
+/// no and with every variable free.  The answer closure adjoins a free
+/// variable only on its path to the root bag, so here the grouped count
+/// and the cursor run over genuinely different decompositions.
+fn spread_free_queries() -> Vec<(String, ConjunctiveQuery)> {
+    let query = |edges: &[(usize, usize)], free: &[usize]| {
+        let mut q = ConjunctiveQuery::new();
+        for &(a, b) in edges {
+            q.atom("E", &[format!("x{a}"), format!("x{b}")]);
+        }
+        for &f in free {
+            q.mark_free(format!("x{f}")).expect("declared by an atom");
+        }
+        q
+    };
+    let p5: Vec<(usize, usize)> = (0..4).map(|i| (i, i + 1)).collect();
+    let p6: Vec<(usize, usize)> = (0..5).map(|i| (i, i + 1)).collect();
+    let star = vec![(0, 1), (0, 2), (0, 3), (0, 4)];
+    // x6 hangs three edges below the root's branch through x1.
+    let tree = vec![(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (5, 6)];
+    let mut out = Vec::new();
+    for (name, edges, spread) in [
+        ("P5", &p5, vec![0, 4]),
+        ("P6", &p6, vec![0, 5]),
+        ("P6 reversed", &p6, vec![5, 0]),
+        ("star", &star, vec![1, 3]),
+        ("tree", &tree, vec![6]),
+    ] {
+        let all: Vec<usize> = (0..=edges.iter().map(|&(_, b)| b).max().unwrap()).collect();
+        for free in [spread, Vec::new(), all] {
+            out.push((format!("{name} free={free:?}"), query(edges, &free)));
+        }
+    }
+    out
+}
+
+#[test]
+fn free_variables_in_distant_bags_match_the_projection() {
+    let engine = Engine::new(oracle_config());
+    let targets = [
+        (
+            "digraph n=7 seed=400",
+            random_digraph_structure(7, 0.35, 400),
+        ),
+        (
+            "digraph n=8 seed=401",
+            random_digraph_structure(8, 0.3, 401),
+        ),
+        ("graph n=6 seed=402", random_graph_structure(6, 0.45, 402)),
+    ];
+    let mut tiled = 0usize;
+    for (qlabel, query) in spread_free_queries() {
+        for (tlabel, target) in &targets {
+            let label = format!("{qlabel} on {tlabel}");
+            let expected = reference_rows(&query, target);
+            let report = engine.count_answers(&query, target);
+            assert_eq!(
+                report.method,
+                AnswerMethod::TreeDecompositionDp,
+                "{label} must take the answer DP"
+            );
+            assert_eq!(
+                report.answers,
+                expected.len() as u64,
+                "count wrong on {label}"
+            );
+            assert!(
+                report.answer_width <= report.widths.treewidth + report.free_count,
+                "answer width {} over its bound on {label}",
+                report.answer_width
+            );
+            let page = engine.answers(&query, target, 0, expected.len() + 1);
+            assert_eq!(page.rows, expected, "rows wrong on {label}");
+            assert!(!page.has_more, "phantom continuation on {label}");
+            if expected.len() <= 120 {
+                for page_size in [2usize, 5] {
+                    assert_eq!(
+                        tile(&engine, &label, &query, target, page_size),
+                        expected,
+                        "pages of size {page_size} do not tile on {label}"
+                    );
+                }
+                tiled += 1;
+            }
+        }
+    }
+    assert!(
+        tiled >= 20,
+        "only {tiled} tiled cases — the corpus degenerated"
+    );
 }
 
 #[test]

@@ -99,23 +99,88 @@ impl TreeDecomposition {
         true
     }
 
+    /// Root the tree at bag 0, the root every tree DP over a decomposition
+    /// evaluates toward: each bag's parent (`usize::MAX` for the root) and
+    /// an order listing every bag after all of its children.  Needs at
+    /// least one bag.
+    pub fn rooted(&self) -> (Vec<usize>, Vec<usize>) {
+        let n = self.tree.vertex_count();
+        let mut parent = vec![usize::MAX; n];
+        let mut visited = vec![false; n];
+        let mut stack = vec![(0usize, usize::MAX)];
+        let mut pre = Vec::with_capacity(n);
+        while let Some((v, p)) = stack.pop() {
+            if visited[v] {
+                continue;
+            }
+            visited[v] = true;
+            parent[v] = p;
+            pre.push(v);
+            for w in self.tree.neighbors(v) {
+                if !visited[w] {
+                    stack.push((w, v));
+                }
+            }
+        }
+        // Every bag follows its parent in preorder, so the reverse lists
+        // children first.
+        pre.reverse();
+        (parent, pre)
+    }
+
     /// The *answer decomposition* for a set of free vertices: the same tree
-    /// with every free vertex adjoined to **every** bag (the free-connex
-    /// closure of this decomposition).
+    /// with every free vertex adjoined to **every** bag.
     ///
     /// Adjoining a fixed set to all bags preserves all three validity
     /// conditions: coverage only gains vertices, edge coverage is unchanged,
     /// and each adjoined vertex now occurs in every bag (the whole tree is
-    /// connected).  The price is width: it grows by at most `free.len()`,
-    /// which is exactly the honest cost of answer counting and enumeration
-    /// relative to boolean evaluation — the DP below this decomposition keeps
-    /// every free vertex in scope at every node, so the root table can be
-    /// grouped by free-variable assignment and any prefix of free values can
-    /// be pinned everywhere.
+    /// connected).  The price is width: it grows by at most `free.len()`.
+    /// What it buys is a pin site for every free vertex in every bag, so a
+    /// prefix of free values can be fixed uniformly across the DP — the
+    /// form the answer cursor's pinned probes run on.  Grouping the root
+    /// rows by free assignment needs far less: see
+    /// [`TreeDecomposition::answer_closure`].
     pub fn answer_decomposition(&self, free: &[Vertex]) -> TreeDecomposition {
         let mut bags = self.bags.clone();
         for bag in &mut bags {
             bag.extend(free.iter().copied());
+        }
+        TreeDecomposition {
+            tree: self.tree.clone(),
+            bags,
+        }
+    }
+
+    /// The *answer closure* for a set of free vertices: the same tree with
+    /// each free vertex adjoined only to the bags on the tree path from the
+    /// bags holding it up to bag 0 (the root of [`TreeDecomposition::rooted`]).
+    ///
+    /// A free vertex's bags form a connected subtree; adding the path from
+    /// that subtree to the root keeps it connected, so the result is valid
+    /// wherever `self` is.  Bag 0 then holds every free vertex, which is
+    /// all that grouping the root rows by free assignment needs (a free
+    /// vertex in no bag is adjoined to bag 0 alone).  Bags on no such path
+    /// are unchanged, and every closure bag is a subset of the matching
+    /// [`TreeDecomposition::answer_decomposition`] bag, so the width is at
+    /// most that form's — and only as large as the free vertices' distance
+    /// to the root makes it.
+    pub fn answer_closure(&self, free: &[Vertex]) -> TreeDecomposition {
+        let n = self.bags.len();
+        if free.is_empty() || n == 0 {
+            return self.clone();
+        }
+        let (parent, _) = self.rooted();
+        let mut bags = self.bags.clone();
+        for &f in free {
+            for t in (0..n).filter(|&t| self.bags[t].contains(&f)) {
+                // Stop at the first bag already holding `f`: its own walk
+                // (an original holder) or an earlier one covers the rest.
+                let mut u = parent[t];
+                while u != usize::MAX && bags[u].insert(f) {
+                    u = parent[u];
+                }
+            }
+            bags[0].insert(f);
         }
         TreeDecomposition {
             tree: self.tree.clone(),
@@ -424,6 +489,51 @@ mod tests {
         }
         // No free vertices: unchanged.
         assert_eq!(td.answer_decomposition(&[]), td);
+    }
+
+    #[test]
+    fn answer_closure_adjoins_along_root_paths_only() {
+        // The endpoint chain S(x0,x1) ∧ R0(x1,x2) ∧ R1(x2,x3): a path
+        // decomposition rooted at its first bag {x0, x1}.
+        let chain = path_graph(4);
+        let td = path_decomp_of_path(4).to_tree_decomposition();
+        let closure = td.answer_closure(&[0, 3]);
+        assert!(closure.is_valid_for(&chain));
+        assert!(closure.bags[0].contains(&0) && closure.bags[0].contains(&3));
+        assert_eq!(closure.width(), 2);
+        assert_eq!(td.answer_decomposition(&[0, 3]).width(), 3);
+
+        // P5 with the root in the middle and two branches: only the branch
+        // holding the free vertex grows, the other stays as it was.
+        let g = path_graph(5);
+        let set = |v: &[usize]| v.iter().copied().collect::<BTreeSet<_>>();
+        let mut tree = Graph::new(4);
+        tree.add_edge(0, 1);
+        tree.add_edge(1, 2);
+        tree.add_edge(0, 3);
+        let td = TreeDecomposition {
+            tree,
+            bags: vec![set(&[2, 3]), set(&[1, 2]), set(&[0, 1]), set(&[3, 4])],
+        };
+        assert!(td.is_valid_for(&g));
+        for free in [vec![0], vec![4], vec![0, 4], vec![2], vec![4, 0, 1]] {
+            let closure = td.answer_closure(&free);
+            assert!(closure.is_valid_for(&g), "free {free:?}");
+            assert!(free.iter().all(|f| closure.bags[0].contains(f)));
+            assert!(closure.width() <= td.answer_decomposition(&free).width());
+            for (t, bag) in closure.bags.iter().enumerate() {
+                assert!(bag.is_superset(&td.bags[t]));
+                assert!(bag.difference(&td.bags[t]).all(|v| free.contains(v)));
+            }
+        }
+        let closure = td.answer_closure(&[0]);
+        assert_eq!(closure.bags[1], set(&[0, 1, 2]));
+        assert_eq!(closure.bags[0], set(&[0, 2, 3]));
+        assert_eq!(closure.bags[3], td.bags[3], "off-path bag changed");
+        assert_eq!(closure.bags[2], td.bags[2]);
+        assert_eq!(closure.width(), 2);
+        // No free vertices: unchanged.
+        assert_eq!(td.answer_closure(&[]), td);
     }
 
     #[test]

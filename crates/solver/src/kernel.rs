@@ -58,18 +58,21 @@
 //! can assert the warm path stays warm.
 //!
 //! **Free variables.** The same compiled machinery answers queries with
-//! free variables: [`AnswerProgram`] runs the tree DP over the
-//! free-adjoined decomposition
-//! ([`TreeDecomposition::answer_decomposition`](cq_decomp::TreeDecomposition::answer_decomposition)),
+//! free variables: [`AnswerProgram`] runs the tree DP over the answer
+//! closure
+//! ([`TreeDecomposition::answer_closure`](cq_decomp::TreeDecomposition::answer_closure)
+//! — each free element adjoined only on its path up to the root bag),
 //! grouping root rows by the free positions into a packed-key
 //! [`GroupTable`] whose keys *are* the answers (the answer count is the
 //! group count), and [`AnswerProgram::cursor`] enumerates those
 //! assignments in ascending lexicographic order with bounded delay — a
-//! pinned-prefix DFS whose every step is certified by one pinned decide,
-//! with no materialisation of the answer set.  Like counting, answers are
-//! not core-invariant, so answer programs compile against the original
-//! query; the width price of adjoining is at most the number of free
-//! elements.
+//! pinned-prefix DFS over the free-adjoined decomposition
+//! ([`TreeDecomposition::answer_decomposition`](cq_decomp::TreeDecomposition::answer_decomposition)),
+//! whose every step is certified by one pinned decide, with no
+//! materialisation of the answer set.  Like counting, answers are not
+//! core-invariant, so answer programs compile against the original query;
+//! the width price of either free-extended form is at most the number of
+//! free elements.
 //!
 //! No `PartialHom` or `BTreeMap` is constructed in any per-assignment
 //! inner loop; the only per-row allocations are the surviving rows
@@ -597,6 +600,54 @@ fn try_candidate<S: Semiring>(
     )
 }
 
+/// Read the candidates at `depth` off the depth's driver posting list:
+/// when a constraint anchored here has exactly one unbound position, the
+/// matching tuples of its cheapest bound position list every viable
+/// candidate.  Fills `cands` sorted, deduplicated and restricted to the
+/// prefilter domain, and returns `true`; returns `false` (leaving `cands`
+/// unspecified) when the depth has no driver or the posting list is no
+/// shorter than the domain — the caller then scans the domain.
+fn driven_candidates(
+    program: &BagProgram,
+    index: &StructureIndex,
+    depth: usize,
+    row: &[u32],
+    cands: &mut Vec<u32>,
+) -> bool {
+    let Some(drv) = &program.drivers[depth] else {
+        return false;
+    };
+    let mut best_pos = drv.bound[0];
+    let mut best = usize::MAX;
+    for &q in &drv.bound {
+        let v = row[drv.arg_depths[q] as usize];
+        let c = index.occurrence_count(drv.sym, q, v);
+        if c < best {
+            best = c;
+            best_pos = q;
+        }
+    }
+    let dom = &program.domains[depth];
+    if best >= dom.len() {
+        return false;
+    }
+    cands.clear();
+    let pivot = row[drv.arg_depths[best_pos] as usize];
+    'tuples: for t in index.tuples_with(drv.sym, best_pos, pivot) {
+        for &q in &drv.bound {
+            if t[q] != row[drv.arg_depths[q] as usize] {
+                continue 'tuples;
+            }
+        }
+        cands.push(t[drv.unbound]);
+    }
+    cands.sort_unstable();
+    cands.dedup();
+    // The prefilter may have pruned some images.
+    cands.retain(|c| dom.binary_search(c).is_ok());
+    true
+}
+
 /// Recursive enumerator over a [`BagProgram`] with optional joins.  `acc`
 /// accumulates the ⊗-product of check and join factors along the path; the
 /// emit callback returns `true` to stop the whole enumeration (the
@@ -620,53 +671,22 @@ fn enumerate<S: Semiring>(
     if depth == program.elems.len() {
         return emit(row, acc.clone());
     }
-    // Constraint-driven candidate iteration: when a constraint anchored
-    // here has exactly one unbound position, the matching tuples of its
-    // cheapest bound position list every viable candidate — walk them
-    // instead of the whole domain whenever the posting list is shorter.
-    if let Some(drv) = &program.drivers[depth] {
-        let mut best_pos = drv.bound[0];
-        let mut best = usize::MAX;
-        for &q in &drv.bound {
-            let v = row[drv.arg_depths[q] as usize];
-            let c = index.occurrence_count(drv.sym, q, v);
-            if c < best {
-                best = c;
-                best_pos = q;
+    // Constraint-driven candidate iteration (see [`driven_candidates`]).
+    let mut cands = std::mem::take(&mut scratch[depth]);
+    if driven_candidates(program, index, depth, row, &mut cands) {
+        for &candidate in &cands {
+            if try_candidate::<S>(
+                program, index, weights, joins_at, joins, depth, candidate, row, args, key, acc,
+                scratch, emit,
+            ) {
+                scratch[depth] = cands;
+                return true;
             }
         }
-        if best < program.domains[depth].len() {
-            let mut cands = std::mem::take(&mut scratch[depth]);
-            cands.clear();
-            let pivot = row[drv.arg_depths[best_pos] as usize];
-            'tuples: for t in index.tuples_with(drv.sym, best_pos, pivot) {
-                for &q in &drv.bound {
-                    if t[q] != row[drv.arg_depths[q] as usize] {
-                        continue 'tuples;
-                    }
-                }
-                cands.push(t[drv.unbound]);
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            let dom = &program.domains[depth];
-            for i in 0..cands.len() {
-                let candidate = cands[i];
-                if dom.binary_search(&candidate).is_err() {
-                    continue; // prefilter pruned this image
-                }
-                if try_candidate::<S>(
-                    program, index, weights, joins_at, joins, depth, candidate, row, args, key,
-                    acc, scratch, emit,
-                ) {
-                    scratch[depth] = cands;
-                    return true;
-                }
-            }
-            scratch[depth] = cands;
-            return false;
-        }
+        scratch[depth] = cands;
+        return false;
     }
+    scratch[depth] = cands;
     for &candidate in &program.domains[depth] {
         if try_candidate::<S>(
             program, index, weights, joins_at, joins, depth, candidate, row, args, key, acc,
@@ -716,31 +736,6 @@ fn run_program<S: Semiring>(
         &mut scratch,
         emit,
     );
-}
-
-/// Root the decomposition tree at bag 0: parents (`usize::MAX` for the
-/// root) plus a children-before-parents order.
-fn root_tree(td: &TreeDecomposition) -> (Vec<usize>, Vec<usize>) {
-    let n = td.tree.vertex_count();
-    let mut parent = vec![usize::MAX; n];
-    let mut visited = vec![false; n];
-    let mut stack = vec![(0usize, usize::MAX)];
-    let mut pre = Vec::with_capacity(n);
-    while let Some((v, p)) = stack.pop() {
-        if visited[v] {
-            continue;
-        }
-        visited[v] = true;
-        parent[v] = p;
-        pre.push(v);
-        for w in td.tree.neighbors(v) {
-            if !visited[w] {
-                stack.push((w, v));
-            }
-        }
-    }
-    pre.reverse();
-    (parent, pre)
 }
 
 /// The viable-row table of one processed bag: the surviving rows (flat,
@@ -833,9 +828,20 @@ impl TreeDpProgram {
     /// Compile the tree DP for `a` over a valid tree decomposition of its
     /// Gaifman graph against the indexed target.
     pub fn compile(a: &Structure, index: &StructureIndex, td: &TreeDecomposition) -> TreeDpProgram {
+        TreeDpProgram::compile_with(a, index, td, &QueryDomains::compile(a, index))
+    }
+
+    /// [`TreeDpProgram::compile`] over prefilter domains already compiled
+    /// for `(a, index)` — lets several decompositions of one query share a
+    /// single prefilter pass.
+    fn compile_with(
+        a: &Structure,
+        index: &StructureIndex,
+        td: &TreeDecomposition,
+        doms: &QueryDomains,
+    ) -> TreeDpProgram {
         debug_assert!(td.is_valid_for(&cq_graphs::gaifman_graph(a)));
-        let doms = QueryDomains::compile(a, index);
-        let (parent, post) = root_tree(td);
+        let (parent, post) = td.rooted();
         let elems_of: Vec<Vec<Element>> = td
             .bags
             .iter()
@@ -847,7 +853,7 @@ impl TreeDpProgram {
         // factor, the rest only check it.
         let mut claimed: Vec<bool> = vec![false; a.tuple_count()];
         for &t in &post {
-            let program = BagProgram::compile_claiming(a, &doms, &elems_of[t], &mut |ordinal| {
+            let program = BagProgram::compile_claiming(a, doms, &elems_of[t], &mut |ordinal| {
                 !std::mem::replace(&mut claimed[ordinal], true)
             });
             let mut edges = Vec::new();
@@ -1012,51 +1018,68 @@ impl TreeDpProgram {
     }
 }
 
-/// A compiled *answer* program for a query with free variables: the tree DP
-/// of [`TreeDpProgram`] over the free-connex closure of a decomposition
-/// ([`TreeDecomposition::answer_decomposition`] — every free element
-/// adjoined to every bag), plus the positions needed to group by and to pin
-/// the free elements.
+/// A compiled *answer* program for a query with free variables: two tree
+/// DPs of [`TreeDpProgram`] over free-extended forms of one decomposition,
+/// plus the positions needed to group by and to pin the free elements.
 ///
-/// Adjoining makes the root bag contain every free element, so one ordinary
-/// bottom-up pass yields the whole answer relation by grouping root rows;
-/// and it makes *every* bag contain every free element, so a prefix of free
-/// images can be pinned uniformly and certified by a single pinned decide.
-/// Two evaluation modes share the compiled program:
+/// * [`AnswerProgram::answer_table`] runs over the **answer closure**
+///   ([`TreeDecomposition::answer_closure`] — each free element adjoined
+///   only to the bags on its path up to the root): one bottom-up pass whose
+///   root rows are grouped by the free positions into a packed-key
+///   [`GroupTable`].  Keys are the answers (free images in declared order),
+///   values the ⊕-aggregate over their existential extensions (`true`
+///   under [`BoolSemiring`], the extension count under
+///   [`CheckedNatSemiring`]).  [`AnswerProgram::count_answers`] is its
+///   group count.  The closure's width, not the number of free elements,
+///   sets the table sizes: a free element far from the root only widens
+///   the bags on its way up.
+/// * [`AnswerProgram::cursor`] runs over the **answer decomposition**
+///   ([`TreeDecomposition::answer_decomposition`] — every free element
+///   adjoined to every bag), so a prefix of free images can be pinned
+///   uniformly and certified by one pinned decide per probe.  It is a
+///   pinned-prefix DFS over the free elements in declared order,
+///   candidates ascending from the sorted prefilter domains, and emits
+///   answers in lexicographically ascending order (the [`BTreeSet`] order
+///   of the brute-force projection oracle) without ever materialising the
+///   answer set; the work between consecutive answers is bounded by the
+///   domains and the DP size, independent of how many answers the query
+///   has in total.  Unpinned depths of each probe walk the bag's
+///   posting-list driver, as unpinned enumeration does.
 ///
-/// * [`AnswerProgram::answer_table`] — one bottom-up pass whose root rows
-///   are grouped by the free positions into a packed-key [`GroupTable`]:
-///   keys are the answers (free images in declared order), values the
-///   ⊕-aggregate over their existential extensions (`true` under
-///   [`BoolSemiring`], the extension count under [`CheckedNatSemiring`]).
-///   [`AnswerProgram::count_answers`] is its group count.
-/// * [`AnswerProgram::cursor`] — bounded-delay enumeration: a pinned-prefix
-///   DFS over the free elements in declared order, candidates ascending
-///   from the sorted prefilter domains, each prefix certified by a pinned
-///   decide.  Emits answers in lexicographically ascending order (the
-///   [`BTreeSet`] order of the brute-force projection oracle) without ever
-///   materialising the answer set; the work between consecutive answers is
-///   bounded by the domains and the DP size, independent of how many
-///   answers the query has in total.
-///
-/// The price of adjoining is width: the answer decomposition is wider than
-/// the counting one by at most the number of free elements — the honest
-/// cost of answer counting relative to boolean evaluation in the
-/// fine-classification setting.  Unweighted semirings only.
+/// Both programs share one prefilter pass.  The reported
+/// [`AnswerProgram::answer_width`] is the closure's — at most the counting
+/// width plus the number of free elements.  Unweighted semirings only.
 pub struct AnswerProgram {
-    program: TreeDpProgram,
+    /// The tree DP over the answer closure (grouped root pass).
+    grouped: TreeDpProgram,
+    /// The tree DP over the answer decomposition (cursor probes).
+    pinned: TreeDpProgram,
     /// The free elements of the query, in declared (answer-column) order.
     free: Vec<Element>,
     /// `pin_depths[bag_pos][j]`: the depth of free element `j` in the
-    /// element order of `bags[bag_pos]` (present in every bag by
+    /// element order of `pinned.bags[bag_pos]` (present in every bag by
     /// construction).
     pin_depths: Vec<Vec<usize>>,
-    /// The root-row positions of the free elements, in declared order.
+    /// The root-row positions of the free elements in `grouped`, in
+    /// declared order.
     root_free_positions: Vec<u32>,
     /// Sorted candidate images of each free element (prefilter domains).
     free_domains: Vec<Vec<u32>>,
-    /// Width of the adjoined (answer) decomposition.
+    /// Width of the answer closure.
     width: usize,
+}
+
+/// The depth of each of `free` in a compiled bag's element order.
+fn free_depths(bag: &TreeBag, free: &[Element]) -> Vec<usize> {
+    free.iter()
+        .map(|f| {
+            bag.program
+                .elems
+                .iter()
+                .position(|e| e == f)
+                .expect("the free element was adjoined to this bag")
+        })
+        .collect()
 }
 
 impl AnswerProgram {
@@ -1076,45 +1099,38 @@ impl AnswerProgram {
             },
             "free elements must be distinct"
         );
-        let atd = td.answer_decomposition(free);
-        let width = atd.width();
-        let program = TreeDpProgram::compile(a, index, &atd);
         let doms = QueryDomains::compile(a, index);
-        let pin_depths: Vec<Vec<usize>> = program
+        let closure = td.answer_closure(free);
+        let grouped = TreeDpProgram::compile_with(a, index, &closure, &doms);
+        let pinned = TreeDpProgram::compile_with(a, index, &td.answer_decomposition(free), &doms);
+        let pin_depths = pinned
             .bags
             .iter()
-            .map(|bag| {
-                free.iter()
-                    .map(|f| {
-                        bag.program
-                            .elems
-                            .iter()
-                            .position(|e| e == f)
-                            .expect("free elements are adjoined to every bag")
-                    })
-                    .collect()
-            })
+            .map(|bag| free_depths(bag, free))
             .collect();
-        let root_free_positions: Vec<u32> = pin_depths
+        let root = grouped
+            .bags
             .last()
-            .expect("decompositions have at least one bag")
-            .iter()
-            .map(|&d| d as u32)
+            .expect("decompositions have at least one bag");
+        let root_free_positions = free_depths(root, free)
+            .into_iter()
+            .map(|d| d as u32)
             .collect();
         let free_domains = free.iter().map(|&f| doms.domain(f).to_vec()).collect();
         AnswerProgram {
-            program,
+            grouped,
+            pinned,
             free: free.to_vec(),
             pin_depths,
             root_free_positions,
             free_domains,
-            width,
+            width: closure.width(),
         }
     }
 
     /// The identity of the index this program was compiled against.
     pub fn index_id(&self) -> u64 {
-        self.program.index_id
+        self.grouped.index_id
     }
 
     /// Number of free elements (answer columns).
@@ -1122,8 +1138,8 @@ impl AnswerProgram {
         self.free.len()
     }
 
-    /// Width of the adjoined decomposition the DP runs over (the counting
-    /// width plus at most the number of free elements).
+    /// Width of the answer closure the grouped pass runs over (the
+    /// counting width plus at most the number of free elements).
     pub fn answer_width(&self) -> usize {
         self.width
     }
@@ -1135,7 +1151,7 @@ impl AnswerProgram {
     /// [`AnswerProgram::cursor`] when order matters.
     pub fn answer_table<S: Semiring>(&self, index: &StructureIndex) -> GroupTable<S::Value> {
         debug_assert!(!S::WEIGHTED, "answer tables are unweighted-only");
-        let p = &self.program;
+        let p = &self.grouped;
         debug_assert_eq!(index.id(), p.index_id, "program run on a foreign index");
         let mut out: GroupTable<S::Value> = GroupTable::with_capacity(self.free.len(), 16);
         if !p.satisfiable {
@@ -1233,9 +1249,16 @@ impl AnswerProgram {
     /// Does some homomorphism map the free elements to `prefix` (a prefix
     /// of the declared free order)?  One bottom-up pass with the prefix
     /// pinned in every bag — the certificate behind each cursor step.
-    fn pinned_decide(&self, index: &StructureIndex, prefix: &[u32]) -> bool {
+    /// `scratch` holds the driver candidate buffers, one per depth of the
+    /// widest bag, reused across probes.
+    fn pinned_decide(
+        &self,
+        index: &StructureIndex,
+        prefix: &[u32],
+        scratch: &mut [Vec<u32>],
+    ) -> bool {
         type B = BoolSemiring;
-        let p = &self.program;
+        let p = &self.pinned;
         if !p.satisfiable {
             return false;
         }
@@ -1293,6 +1316,7 @@ impl AnswerProgram {
                         &mut args,
                         &mut key,
                         &initial_acc,
+                        scratch,
                         &mut |_, acc| {
                             if acc {
                                 found = true;
@@ -1321,6 +1345,7 @@ impl AnswerProgram {
                     &mut args,
                     &mut key,
                     &initial_acc,
+                    scratch,
                     &mut |r, acc| {
                         if acc {
                             table.rows.extend_from_slice(r);
@@ -1344,14 +1369,16 @@ impl AnswerProgram {
     pub fn cursor<'a>(&'a self, index: &'a StructureIndex) -> AnswerCursor<'a> {
         debug_assert_eq!(
             index.id(),
-            self.program.index_id,
+            self.pinned.index_id,
             "cursor on a foreign index"
         );
+        let widest = self.pinned.bags.iter().map(|b| b.program.elems.len());
         AnswerCursor {
             program: self,
             index,
             stack: Vec::new(),
             prefix: Vec::new(),
+            scratch: vec![Vec::new(); widest.max().unwrap_or(0)],
             state: CursorState::Fresh,
         }
     }
@@ -1379,6 +1406,8 @@ pub struct AnswerCursor<'a> {
     stack: Vec<usize>,
     /// The images of the current prefix (parallel to `stack`).
     prefix: Vec<u32>,
+    /// Driver candidate buffers shared by every probe.
+    scratch: Vec<Vec<u32>>,
     state: CursorState,
 }
 
@@ -1395,7 +1424,10 @@ impl AnswerCursor<'_> {
             let mut found = false;
             while probe < dom.len() {
                 self.prefix.push(dom[probe]);
-                if self.program.pinned_decide(self.index, &self.prefix) {
+                if self
+                    .program
+                    .pinned_decide(self.index, &self.prefix, &mut self.scratch)
+                {
                     found = true;
                     break;
                 }
@@ -1432,7 +1464,10 @@ impl Iterator for AnswerCursor<'_> {
                     // Zero free variables: the one empty answer iff the
                     // boolean query holds.
                     self.state = CursorState::Done;
-                    return self.program.pinned_decide(self.index, &[]).then(Vec::new);
+                    return self
+                        .program
+                        .pinned_decide(self.index, &[], &mut self.scratch)
+                        .then(Vec::new);
                 }
                 self.state = CursorState::Mid;
                 if self.seek(0) {
@@ -1665,6 +1700,7 @@ fn pinned_candidate<S: Semiring>(
     args: &mut Vec<u32>,
     key: &mut Vec<u32>,
     acc: &S::Value,
+    scratch: &mut [Vec<u32>],
     emit: &mut impl FnMut(&[u32], S::Value) -> bool,
 ) -> bool {
     row[depth] = candidate;
@@ -1700,15 +1736,19 @@ fn pinned_candidate<S: Semiring>(
         args,
         key,
         &next_acc,
+        scratch,
         emit,
     )
 }
 
 /// [`enumerate`] with some depths pinned to fixed images: pinned depths
-/// take exactly their candidate, free depths scan their prefilter domain.
-/// Drivers are not used — delta enumerations are tiny and the pinned
-/// constraint's tuple may no longer be in the index.  Unweighted semirings
-/// only.
+/// take exactly their candidate, unpinned depths walk their driver's
+/// posting list like [`enumerate`].  That holds for deletion patches too:
+/// the `skip`ped constraint (its tuple is gone from the index) has every
+/// position pinned, so it anchors at a pinned depth and never drives, and
+/// a driver at an unpinned depth reads the same index as that depth's
+/// checks, so it admits every candidate they would.  `scratch` holds one
+/// candidate buffer per depth.  Unweighted semirings only.
 #[allow(clippy::too_many_arguments)]
 fn enumerate_pinned<S: Semiring>(
     program: &BagProgram,
@@ -1722,6 +1762,7 @@ fn enumerate_pinned<S: Semiring>(
     args: &mut Vec<u32>,
     key: &mut Vec<u32>,
     acc: &S::Value,
+    scratch: &mut [Vec<u32>],
     emit: &mut impl FnMut(&[u32], S::Value) -> bool,
 ) -> bool {
     if depth == program.elems.len() {
@@ -1734,13 +1775,29 @@ fn enumerate_pinned<S: Semiring>(
             return false;
         }
         return pinned_candidate::<S>(
-            program, index, joins_at, joins, pins, skip, depth, v, row, args, key, acc, emit,
+            program, index, joins_at, joins, pins, skip, depth, v, row, args, key, acc, scratch,
+            emit,
         );
     }
+    let mut cands = std::mem::take(&mut scratch[depth]);
+    if driven_candidates(program, index, depth, row, &mut cands) {
+        for &candidate in &cands {
+            if pinned_candidate::<S>(
+                program, index, joins_at, joins, pins, skip, depth, candidate, row, args, key, acc,
+                scratch, emit,
+            ) {
+                scratch[depth] = cands;
+                return true;
+            }
+        }
+        scratch[depth] = cands;
+        return false;
+    }
+    scratch[depth] = cands;
     for &candidate in &program.domains[depth] {
         if pinned_candidate::<S>(
             program, index, joins_at, joins, pins, skip, depth, candidate, row, args, key, acc,
-            emit,
+            scratch, emit,
         ) {
             return true;
         }
@@ -1793,6 +1850,7 @@ fn patch_bag<S: Semiring>(
     let mut row = vec![0u32; n];
     let mut args = Vec::with_capacity(bag.program.max_arity);
     let mut key = Vec::new();
+    let mut scratch = vec![Vec::new(); n];
     let mut pkey: Vec<u32> = Vec::new();
     // Pre-patch values of the keys this round touches (`None` = the key
     // was absent), recorded on first touch — O(delta), not O(table).
@@ -1821,6 +1879,7 @@ fn patch_bag<S: Semiring>(
             &mut args,
             &mut key,
             &setup.initial_acc,
+            &mut scratch,
             &mut |r, acc| {
                 if S::is_zero(&acc) {
                     return false;
@@ -1880,6 +1939,7 @@ fn patch_bag<S: Semiring>(
             &mut args,
             &mut key,
             &setup.initial_acc,
+            &mut scratch,
             &mut |r, acc| {
                 if S::is_zero(&acc) {
                     return false;

@@ -64,35 +64,6 @@ pub(crate) fn reference_bag_assignments(
     out
 }
 
-/// Root the decomposition tree at bag 0 and return, for every bag, its parent
-/// (`usize::MAX` for the root) and a post-order traversal.
-fn root_tree(td: &TreeDecomposition) -> (Vec<usize>, Vec<usize>) {
-    let n = td.tree.vertex_count();
-    let mut parent = vec![usize::MAX; n];
-    let mut order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    let mut stack = vec![(0usize, usize::MAX)];
-    let mut pre = Vec::with_capacity(n);
-    while let Some((v, p)) = stack.pop() {
-        if visited[v] {
-            continue;
-        }
-        visited[v] = true;
-        parent[v] = p;
-        pre.push(v);
-        for w in td.tree.neighbors(v) {
-            if !visited[w] {
-                stack.push((w, v));
-            }
-        }
-    }
-    // Post-order = reverse of preorder for our purposes (children before
-    // parents is what matters, and every child appears after its parent in
-    // `pre`).
-    order.extend(pre.iter().rev().copied());
-    (parent, order)
-}
-
 /// Decide `HOM(A, B)` by DP over the given tree decomposition of (the
 /// Gaifman graph of) `A`.  The decomposition is validated in debug builds.
 pub fn hom_via_tree_decomposition(a: &Structure, b: &Structure, td: &TreeDecomposition) -> bool {
@@ -100,7 +71,7 @@ pub fn hom_via_tree_decomposition(a: &Structure, b: &Structure, td: &TreeDecompo
     // Elements never mentioned in any bag (possible only if A has isolated
     // elements and the decomposition still covers them — validity guarantees
     // coverage, so nothing to do here).
-    let (parent, post) = root_tree(td);
+    let (parent, post) = td.rooted();
     let n_bags = td.bags.len();
     // For each bag: the set of bag assignments that extend downwards.
     let mut viable: Vec<Option<BTreeSet<PartialHom>>> = vec![None; n_bags];
@@ -142,7 +113,7 @@ pub fn count_hom_via_tree_decomposition(
     td: &TreeDecomposition,
 ) -> u64 {
     debug_assert!(td.is_valid_for(&gaifman_graph(a)));
-    let (parent, post) = root_tree(td);
+    let (parent, post) = td.rooted();
     let n_bags = td.bags.len();
     // counts[t]: map from bag assignment to the number of extensions to the
     // union of bags in the subtree of t.
