@@ -22,9 +22,11 @@
 //! The engine entry points are [`Engine::count_answers`] and the paged
 //! [`Engine::answers`] (with batch twins [`Engine::count_answers_batch`] /
 //! [`Engine::answers_batch`]); the kernel machinery they dispatch to is
-//! [`cq_solver::kernel::AnswerProgram`] (grouped root-bag DP for counting,
-//! pinned-prefix cursor for enumeration with per-answer delay independent of
-//! the total answer count).  The structurally unlicensed fallback is
+//! [`cq_solver::kernel::AnswerProgram`] (grouped root-bag DP for counting;
+//! for enumeration, one full-reducer pass per index version that leaves
+//! each free variable's viable domain, then a pinned-prefix cursor over
+//! those domains with per-answer delay independent of the total answer
+//! count).  The structurally unlicensed fallback is
 //! [`cq_structures::answers_bruteforce`], which materializes the same
 //! sorted, deduplicated projection by exhaustive enumeration.
 //!

@@ -320,7 +320,15 @@ struct ShardedPlanCache {
     /// fingerprint serialize here so each distinct query is prepared exactly
     /// once.  Entries live only while a preparation is in flight.
     in_flight: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// Fingerprints of recently looked-up queries by [content
+    /// token](cq_structures::Structure::content_token), most recently used
+    /// at the back.  A token names one content state, so a repeat lookup
+    /// of the same structure (or a clone) skips the colour-refinement hash.
+    fingerprints: Mutex<Vec<(u64, u64)>>,
 }
+
+/// Entries of the plan cache's token-to-fingerprint memo.
+const FINGERPRINT_MEMO: usize = 64;
 
 impl ShardedPlanCache {
     fn new(shard_count: usize, total_capacity: usize) -> ShardedPlanCache {
@@ -344,7 +352,34 @@ impl ShardedPlanCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             in_flight: Mutex::new(HashMap::new()),
+            fingerprints: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The [`query_fingerprint`] of `query`, from the token memo when this
+    /// content state was fingerprinted before.  A disabled cache memoizes
+    /// nothing.
+    fn fingerprint(&self, query: &Structure) -> u64 {
+        if self.total_capacity == 0 {
+            return query_fingerprint(query);
+        }
+        let token = query.content_token();
+        let mut memo = self.fingerprints.lock().expect("fingerprint memo lock");
+        if let Some(pos) = memo.iter().rposition(|&(t, _)| t == token) {
+            let entry = memo.remove(pos);
+            memo.push(entry); // most-recently-used at the back
+            return entry.1;
+        }
+        drop(memo);
+        let fingerprint = query_fingerprint(query);
+        let mut memo = self.fingerprints.lock().expect("fingerprint memo lock");
+        if !memo.iter().any(|&(t, _)| t == token) {
+            if memo.len() >= FINGERPRINT_MEMO {
+                memo.remove(0); // least-recently-used at the front
+            }
+            memo.push((token, fingerprint));
+        }
+        fingerprint
     }
 
     fn shard(&self, fingerprint: u64) -> &Mutex<PlanCache> {
@@ -1052,7 +1087,9 @@ impl Engine {
 
     /// Prepare a query — or fetch the cached plan of an equivalent query
     /// prepared earlier.  This is the only place per-query exponential work
-    /// (core, width DPs, decompositions) happens.
+    /// (core, width DPs, decompositions) happens.  A cache hit on a
+    /// structure (or clone) looked up recently skips even the fingerprint:
+    /// it is memoized by [content token](Structure::content_token).
     ///
     /// Concurrent calls for the same (or an equivalent) query are
     /// single-flighted: one caller prepares, the others wait on a
@@ -1060,7 +1097,7 @@ impl Engine {
     /// distinct fingerprint is prepared exactly once no matter how many
     /// threads race on it.
     pub fn prepare(&self, query: &Structure) -> Arc<PreparedQuery> {
-        let fingerprint = query_fingerprint(query);
+        let fingerprint = self.cache.fingerprint(query);
         self.cache.lookups.fetch_add(1, Ordering::Relaxed);
         if let Some(plan) = self.cache.find(fingerprint, query) {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
@@ -1418,7 +1455,10 @@ impl Engine {
     /// `offset + limit + 1` is ever materialized, and the cost of a page is
     /// proportional to its position and size — not to the total number of
     /// answers.  (`has_more` costs one extra cursor step, which is why the
-    /// `+ 1`.)  Beyond the treewidth threshold the engine falls back to
+    /// `+ 1`.)  The cursor walks each free variable's viable domain, its
+    /// images under homomorphisms, which one full-reducer pass computes the
+    /// first time a page is asked of an index version; later pages of the
+    /// same version reuse it.  Beyond the treewidth threshold the engine falls back to
     /// materializing the brute-force projection and slicing it.
     ///
     /// # Panics
@@ -2108,6 +2148,33 @@ mod tests {
         );
         assert!(stats.evictions > 0, "17 distinct plans into 8 slots");
         assert_eq!(stats.lookups, stats.hits + stats.misses);
+    }
+
+    #[test]
+    fn repeat_prepares_reuse_the_memoized_fingerprint() {
+        let engine = Engine::new(EngineConfig::default());
+        let query = families::cycle(5);
+        let plan = engine.prepare(&query);
+        assert_eq!(plan.fingerprint(), query_fingerprint(&query));
+        let memo = |engine: &Engine| engine.cache.fingerprints.lock().unwrap().clone();
+        assert_eq!(memo(&engine), [(query.content_token(), plan.fingerprint())]);
+        // A clone shares the token: served from the memo, same plan.
+        assert!(Arc::ptr_eq(&plan, &engine.prepare(&query.clone())));
+        assert_eq!(memo(&engine).len(), 1);
+        // Each rebuild draws a fresh token; the memo stays bounded and
+        // every lookup still lands on the one cached plan.
+        for _ in 0..FINGERPRINT_MEMO + 6 {
+            assert!(Arc::ptr_eq(&plan, &engine.prepare(&families::cycle(5))));
+        }
+        let entries = memo(&engine);
+        assert_eq!(entries.len(), FINGERPRINT_MEMO);
+        assert!(entries.iter().all(|&(_, f)| f == plan.fingerprint()));
+        assert!(!entries.iter().any(|&(t, _)| t == query.content_token()));
+        assert_eq!(engine.cache_stats().misses, 1);
+        // A disabled cache memoizes nothing.
+        let cold = Engine::new(EngineConfig::default()).with_cache_capacity(0);
+        cold.prepare(&query);
+        assert!(memo(&cold).is_empty());
     }
 
     #[test]

@@ -20,10 +20,22 @@
 //! id), so the incrementally maintained [`TupleWeights`] and the cold
 //! engine's freshly built table must assign every tuple the same weight
 //! even though churn permutes row ids via swap-remove.
+//!
+//! Answers get the same treatment: after every round, answer counts and a
+//! full tiling in pages of 3 on the warm engine must equal
+//! [`answers_bruteforce`] on the mutated database.  Crafted rounds insert
+//! an answer whose free image lay outside every answer of the previous
+//! version, and delete the only support of another answer, both without
+//! moving the domain epoch — so the warm answer program, and the viable
+//! domains it caches per index state, serve the new version.
 
-use cq_core::{AggregateObjective, CountMethod, Engine, EngineConfig};
-use cq_structures::{count_homomorphisms_bruteforce, families, Structure, SymbolId, TupleWeights};
+use cq_core::{AggregateObjective, AnswerMethod, CountMethod, DeltaReport, Engine, EngineConfig};
+use cq_structures::{
+    answers_bruteforce, count_homomorphisms_bruteforce, families, ConjunctiveQuery, DeltaBatch,
+    Structure, SymbolId, TupleWeights,
+};
 use cq_workloads::{mutation_traffic, random_digraph_structure, random_graph_structure};
+use std::collections::BTreeSet;
 
 /// Same thresholds as the other differential oracles: every structural
 /// tier admits most of the corpus, tables stay testable.
@@ -187,4 +199,183 @@ fn chained_and_unchained_delta_application_agree() {
         );
         chained = Some(next);
     }
+}
+
+/// A query over `E` built from `a` (variables `x{i}` = element `i`) with
+/// the elements `free` marked free in that order.
+fn with_free(a: &Structure, free: &[usize]) -> ConjunctiveQuery {
+    let mut q = ConjunctiveQuery::from_structure(a);
+    let vars: Vec<String> = free.iter().map(|&i| q.variables()[i].clone()).collect();
+    for v in vars {
+        q.mark_free(v).expect("valid free marking");
+    }
+    q
+}
+
+/// The brute-force answer rows in the engine's row type, ascending.
+fn reference_rows(query: &ConjunctiveQuery, target: &Structure) -> Vec<Vec<u32>> {
+    let canonical = query.canonical_structure().expect("valid query");
+    answers_bruteforce(&canonical, target, &query.free_element_indices())
+        .into_iter()
+        .map(|row| row.into_iter().map(|e| e as u32).collect())
+        .collect()
+}
+
+/// Check the warm engine's answer count and its full tiling in pages of 3
+/// against the brute-force projection; returns the comparisons made.
+fn check_answers(engine: &Engine, query: &ConjunctiveQuery, db: &Structure, at: &str) -> usize {
+    let expected = reference_rows(query, db);
+    let count = engine.count_answers(query, db);
+    assert_eq!(count.method, AnswerMethod::TreeDecompositionDp, "{at}");
+    assert_eq!(count.answers, expected.len() as u64, "{at}: answer count");
+    let (mut offset, mut pages) = (0usize, 0usize);
+    loop {
+        let page = engine.answers(query, db, offset as u64, 3);
+        let end = (offset + 3).min(expected.len());
+        assert_eq!(
+            page.rows.as_slice(),
+            &expected[offset..end],
+            "{at}: page at {offset}"
+        );
+        assert_eq!(
+            page.has_more,
+            end < expected.len(),
+            "{at}: has_more at {offset}"
+        );
+        offset = end;
+        pages += 1;
+        if !page.has_more {
+            return 1 + pages;
+        }
+    }
+}
+
+/// Every symmetric edge `{u, v}` of `db`, once, with `u < v`.
+fn edges(db: &Structure, e: SymbolId) -> BTreeSet<(u32, u32)> {
+    db.relation(e)
+        .rows()
+        .filter(|r| r[0] < r[1])
+        .map(|r| (r[0], r[1]))
+        .collect()
+}
+
+/// A round inserting the triangle `u v w` around a vertex `u` that lies on
+/// no triangle yet, where `u`, `v`, `w` all have edges already (so no
+/// position domain grows): `u` becomes an answer image for the first time.
+fn insert_fresh_triangle(db: &Structure, e: SymbolId) -> (DeltaBatch, u32) {
+    let es = edges(db, e);
+    let adjacent = |a: u32, b: u32| es.contains(&(a.min(b), a.max(b)));
+    let touched: BTreeSet<u32> = es.iter().flat_map(|&(a, b)| [a, b]).collect();
+    let on_triangle = |u: u32| {
+        touched
+            .iter()
+            .any(|&v| adjacent(u, v) && touched.iter().any(|&w| adjacent(u, w) && adjacent(v, w)))
+    };
+    let u = *touched
+        .iter()
+        .find(|&&u| !on_triangle(u))
+        .expect("some vertex lies on no triangle");
+    let v = *touched
+        .iter()
+        .find(|&&v| adjacent(u, v))
+        .expect("u has an edge");
+    let w = *touched
+        .iter()
+        .find(|&&w| w != u && w != v)
+        .expect("a third vertex with edges");
+    let mut batch = DeltaBatch::new();
+    for (a, b) in [(u, w), (v, w), (u, v)] {
+        batch.insert(e, vec![a, b]).insert(e, vec![b, a]);
+    }
+    (batch, u)
+}
+
+/// A round deleting the only support of a triangle-query answer: an edge
+/// `{a, b}` on exactly one triangle `a b c`; deleting `{a, c}` removes the
+/// answer `(a, b)`.
+fn delete_only_support(db: &Structure, e: SymbolId) -> (DeltaBatch, Vec<u32>) {
+    let es = edges(db, e);
+    let adjacent = |a: u32, b: u32| es.contains(&(a.min(b), a.max(b)));
+    let vertices: BTreeSet<u32> = es.iter().flat_map(|&(a, b)| [a, b]).collect();
+    for &(x, y) in &es {
+        for (a, b) in [(x, y), (y, x)] {
+            let support: Vec<u32> = vertices
+                .iter()
+                .copied()
+                .filter(|&c| adjacent(a, c) && adjacent(b, c))
+                .collect();
+            if let [c] = support[..] {
+                let mut batch = DeltaBatch::new();
+                batch.delete(e, vec![a, c]).delete(e, vec![c, a]);
+                return (batch, vec![a, b]);
+            }
+        }
+    }
+    panic!("no answer with a single support")
+}
+
+#[test]
+fn answer_pages_after_deltas_match_the_projection() {
+    const ROUNDS: usize = 6;
+    // Small enough that restarting the cursor for every page stays cheap.
+    let db = random_graph_structure(12, 0.3, 11);
+    let e = db.vocabulary().id_of("E").expect("graph vocabulary");
+    // x0..x2 on a triangle, answers on (x0, x1); and a 4-path answered
+    // on three columns in non-element order.
+    let triangle = with_free(&families::cycle(3), &[0, 1]);
+    let path = with_free(&families::path(4), &[3, 0, 1]);
+    let warm = Engine::new(oracle_config());
+    let mut batches = mutation_traffic(&db, ROUNDS, 0.08, 0xA115);
+    assert_eq!(batches.len(), ROUNDS, "traffic generator degenerated");
+    let mut comparisons = 0usize;
+    let mut report: Option<DeltaReport> = None;
+    for round in 0..ROUNDS + 2 {
+        let now = report.as_ref().map_or(&db, |r| r.database()).clone();
+        // Rounds 2 and 4 are crafted; the rest replay the traffic.
+        let (batch, crafted) = match round {
+            2 => {
+                let (batch, u) = insert_fresh_triangle(&now, e);
+                let before = reference_rows(&triangle, &now);
+                assert!(
+                    before.iter().all(|row| row[0] != u),
+                    "round {round}: {u} already answers"
+                );
+                (batch, Some(vec![u]))
+            }
+            4 => {
+                let (batch, answer) = delete_only_support(&now, e);
+                assert!(reference_rows(&triangle, &now).contains(&answer));
+                (batch, Some(answer))
+            }
+            _ => (batches.remove(0), None),
+        };
+        let epoch = report.as_ref().map(|r| r.index().domain_epoch());
+        let next = match report.take() {
+            None => warm.apply_delta(&db, &batch),
+            Some(prev) => warm.apply_delta_chained(prev, &batch),
+        }
+        .expect("valid batch");
+        let now = next.database().clone();
+        if let Some(probe) = crafted {
+            assert_eq!(
+                Some(next.index().domain_epoch()),
+                epoch,
+                "round {round}: a crafted round must keep the warm answer program"
+            );
+            let after = reference_rows(&triangle, &now);
+            if round == 2 {
+                assert!(after.iter().any(|row| row[0] == probe[0]));
+            } else {
+                assert!(
+                    !after.contains(&probe),
+                    "round {round}: {probe:?} kept a support"
+                );
+            }
+        }
+        for (name, query) in [("triangle", &triangle), ("path", &path)] {
+            comparisons += check_answers(&warm, query, &now, &format!("round {round} {name}"));
+        }
+        report = Some(next);
+    }
+    assert!(comparisons >= 50, "only {comparisons} comparisons ran");
 }

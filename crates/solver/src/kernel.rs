@@ -65,8 +65,12 @@
 //! grouping root rows by the free positions into a packed-key
 //! [`GroupTable`] whose keys *are* the answers (the answer count is the
 //! group count), and [`AnswerProgram::cursor`] enumerates those
-//! assignments in ascending lexicographic order with bounded delay — a
-//! pinned-prefix DFS over the free-adjoined decomposition
+//! assignments in ascending lexicographic order with bounded delay.  Its
+//! preprocessing is one full-reducer pass (bottom-up, then top-down
+//! semijoins over the plain decomposition) per index version, which leaves
+//! each free element's *viable domain* — exactly its images under
+//! homomorphisms; the enumeration is then a pinned-prefix DFS over those
+//! domains on the free-adjoined decomposition
 //! ([`TreeDecomposition::answer_decomposition`](cq_decomp::TreeDecomposition::answer_decomposition)),
 //! whose every step is certified by one pinned decide, with no
 //! materialisation of the answer set.  Like counting, answers are not
@@ -84,6 +88,7 @@ use cq_structures::SymbolId;
 use cq_structures::{AppliedDelta, Element, Structure, StructureIndex, TupleWeights};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::pathdp::PathDpReport;
 use crate::semiring::{BoolSemiring, CheckedNatSemiring, Nat, Semiring};
@@ -698,6 +703,15 @@ fn enumerate<S: Semiring>(
     false
 }
 
+/// The joins firing at each depth of a bag of `depths` elements.
+fn joins_at<V>(joins: &[Join<'_, V>], depths: usize) -> Vec<Vec<usize>> {
+    let mut at: Vec<Vec<usize>> = vec![Vec::new(); depths.max(1)];
+    for (j, join) in joins.iter().enumerate() {
+        at[join.depth].push(j);
+    }
+    at
+}
+
 /// Run a program with joins, emitting every surviving row with its
 /// accumulated ⊗-value.
 fn run_program<S: Semiring>(
@@ -708,10 +722,7 @@ fn run_program<S: Semiring>(
     emit: &mut impl FnMut(&[u32], S::Value) -> bool,
     initial_acc: S::Value,
 ) {
-    let mut joins_at: Vec<Vec<usize>> = vec![Vec::new(); program.elems.len().max(1)];
-    for (j, join) in joins.iter().enumerate() {
-        joins_at[join.depth].push(j);
-    }
+    let joins_at = joins_at(joins, program.elems.len());
     let mut row = vec![0u32; program.elems.len()];
     let mut args = Vec::with_capacity(program.max_arity);
     let mut key = Vec::new();
@@ -773,6 +784,147 @@ impl<V: Clone> BagTable<V> {
         }
         table
     }
+
+    /// The semijoin `self ⋉ keys`: keep only the rows whose projection
+    /// onto `positions` is a key of `keys`, in place and in order.
+    fn semijoin<W>(&mut self, positions: &[u32], keys: &GroupTable<W>) {
+        let mut key: Vec<u32> = Vec::with_capacity(positions.len());
+        let mut kept = 0usize;
+        for i in 0..self.len() {
+            let row = &self.rows[i * self.stride..(i + 1) * self.stride];
+            key.clear();
+            key.extend(positions.iter().map(|&p| row[p as usize]));
+            if keys.get(&key).is_some() {
+                self.rows
+                    .copy_within(i * self.stride..(i + 1) * self.stride, kept * self.stride);
+                self.values.swap(i, kept);
+                kept += 1;
+            }
+        }
+        self.rows.truncate(kept * self.stride);
+        self.values.truncate(kept);
+    }
+}
+
+/// The child-join prologue of one bag: borrow-joins against the children's
+/// group tables toward this bag (`edge_tables`, by child bag id), plus the
+/// folded constant factor of independent components (empty-key edges).
+/// Every tree-DP pass — one-shot, grouped, pinned, reducing and retained —
+/// starts a bag here.
+struct BagJoins<'t, V> {
+    joins: Vec<Join<'t, V>>,
+    initial_acc: V,
+    /// Some independent child has ⊕-total zero — every row of this bag is
+    /// dead.
+    dead: bool,
+}
+
+fn bag_joins<'t, S: Semiring>(
+    bag: &TreeBag,
+    edge_tables: &'t [Option<GroupTable<S::Value>>],
+) -> BagJoins<'t, S::Value> {
+    let mut joins = Vec::with_capacity(bag.edges.len());
+    let mut initial_acc = S::one();
+    let mut dead = false;
+    for edge in &bag.edges {
+        let table = edge_tables[edge.child]
+            .as_ref()
+            .expect("children before parents");
+        if edge.key_depths.is_empty() {
+            // Independent component: a constant ⊗-factor for every row of
+            // this bag.
+            match table.get(&[]) {
+                Some(sum) if !S::is_zero(sum) => initial_acc = S::mul(&initial_acc, sum),
+                _ => dead = true,
+            }
+            continue;
+        }
+        joins.push(Join {
+            depth: edge.depth,
+            key_depths: edge.key_depths.clone(),
+            table,
+        });
+    }
+    BagJoins {
+        joins,
+        initial_acc,
+        dead,
+    }
+}
+
+/// Materialise one bag's rows with a nonzero ⊗-value under its joins.
+fn bag_rows<S: Semiring>(
+    bag: &TreeBag,
+    index: &StructureIndex,
+    weights: Option<&TupleWeights>,
+    setup: BagJoins<'_, S::Value>,
+) -> BagTable<S::Value> {
+    let mut table = BagTable {
+        stride: bag.program.elems.len(),
+        rows: Vec::new(),
+        values: Vec::new(),
+    };
+    if !setup.dead {
+        run_program::<S>(
+            &bag.program,
+            index,
+            weights,
+            &setup.joins,
+            &mut |row, acc| {
+                if !S::is_zero(&acc) {
+                    table.rows.extend_from_slice(row);
+                    table.values.push(acc);
+                }
+                false
+            },
+            setup.initial_acc,
+        );
+    }
+    table
+}
+
+/// Hand a finished non-root bag up to its parent: group-sum its rows onto
+/// the parent separator, and drop its children's tables, which no later
+/// bag reads.
+fn hand_up<S: Semiring>(
+    bag: &TreeBag,
+    table: &BagTable<S::Value>,
+    edge_tables: &mut [Option<GroupTable<S::Value>>],
+) {
+    edge_tables[bag.id] = Some(table.group_sums::<S>(&bag.up));
+    for edge in &bag.edges {
+        edge_tables[edge.child] = None;
+    }
+}
+
+/// Fold the root bag's rows into their ⊕-total, early-exiting once the
+/// total absorbs.  Returns the total and the number of rows folded.
+fn root_total<S: Semiring>(
+    bag: &TreeBag,
+    index: &StructureIndex,
+    weights: Option<&TupleWeights>,
+    setup: BagJoins<'_, S::Value>,
+) -> (S::Value, usize) {
+    let mut total = S::zero();
+    let mut rows = 0usize;
+    if !setup.dead {
+        run_program::<S>(
+            &bag.program,
+            index,
+            weights,
+            &setup.joins,
+            &mut |_, acc| {
+                if S::is_zero(&acc) {
+                    return false;
+                }
+                rows += 1;
+                total = S::add(&total, &acc);
+                S::is_add_absorbing(&total)
+            },
+            setup.initial_acc,
+        );
+    }
+    (total, rows)
 }
 
 /// Metering of one kernel tree-DP run.
@@ -795,15 +947,18 @@ struct TreeBag {
     is_root: bool,
     program: BagProgram,
     edges: Vec<TreeEdge>,
+    /// Positions (in this bag's row order) of the separator toward its
+    /// parent — the group-sum key of the parent's join; empty for the
+    /// root.  Ordered like the parent edge's `key_depths`.
+    up: Vec<u32>,
 }
 
-/// A compiled parent→child edge of the tree DP: the separator's positions
-/// on both sides, resolved once at compile time.
+/// A compiled parent→child edge of the tree DP, resolved once at compile
+/// time (the child's side of the separator is the child's
+/// [`TreeBag::up`]).
 struct TreeEdge {
     /// Child bag slot.
     child: usize,
-    /// Separator positions in the child's row order (group-sum key).
-    child_positions: Vec<u32>,
     /// Separator depths in the parent's order; empty ⇒ independent
     /// component (constant join factor).
     key_depths: Vec<u32>,
@@ -856,31 +1011,35 @@ impl TreeDpProgram {
             let program = BagProgram::compile_claiming(a, doms, &elems_of[t], &mut |ordinal| {
                 !std::mem::replace(&mut claimed[ordinal], true)
             });
+            // Separator positions of `t ∩ other` in `t`'s row order, in
+            // element order — so both sides of an edge key alike.
+            let positions = |other: usize| -> Vec<u32> {
+                td.bags[t]
+                    .intersection(&td.bags[other])
+                    .map(|e| elems_of[t].iter().position(|x| x == e).expect("sep ⊆ bag") as u32)
+                    .collect()
+            };
             let mut edges = Vec::new();
             for c in td.tree.neighbors(t).filter(|&c| parent[c] == t) {
-                let separator: Vec<Element> =
-                    td.bags[t].intersection(&td.bags[c]).copied().collect();
-                let child_positions: Vec<u32> = separator
-                    .iter()
-                    .map(|e| elems_of[c].iter().position(|x| x == e).expect("sep ⊆ bag") as u32)
-                    .collect();
-                let key_depths: Vec<u32> = separator
-                    .iter()
-                    .map(|e| elems_of[t].iter().position(|x| x == e).expect("sep ⊆ bag") as u32)
-                    .collect();
+                let key_depths = positions(c);
                 let depth = key_depths.iter().copied().max().unwrap_or(0) as usize;
                 edges.push(TreeEdge {
                     child: c,
-                    child_positions,
                     key_depths,
                     depth,
                 });
             }
+            let is_root = parent[t] == usize::MAX;
             bags.push(TreeBag {
                 id: t,
-                is_root: parent[t] == usize::MAX,
+                is_root,
                 program,
                 edges,
+                up: if is_root {
+                    Vec::new()
+                } else {
+                    positions(parent[t])
+                },
             });
         }
         TreeDpProgram {
@@ -894,6 +1053,11 @@ impl TreeDpProgram {
     /// The identity of the index this program was compiled against.
     pub fn index_id(&self) -> u64 {
         self.index_id
+    }
+
+    /// One empty child-table slot per bag id.
+    fn no_tables<V>(&self) -> Vec<Option<GroupTable<V>>> {
+        (0..self.n_bags).map(|_| None).collect()
     }
 
     /// Decide `HOM(A, B)` — the [`BoolSemiring`] instantiation; the
@@ -932,95 +1096,30 @@ impl TreeDpProgram {
         if !self.satisfiable {
             return (S::zero(), peak);
         }
-        let mut tables: Vec<Option<BagTable<S::Value>>> = (0..self.n_bags).map(|_| None).collect();
+        let mut edge_tables = self.no_tables::<S::Value>();
         for bag in &self.bags {
-            let mut group_tables: Vec<GroupTable<S::Value>> = Vec::with_capacity(bag.edges.len());
-            let mut join_specs: Vec<(usize, &[u32])> = Vec::with_capacity(bag.edges.len());
-            let mut initial_acc = S::one();
-            let mut dead = false;
-            for edge in &bag.edges {
-                let child = tables[edge.child].take().expect("children before parents");
-                let table = child.group_sums::<S>(&edge.child_positions);
-                if edge.key_depths.is_empty() {
-                    // Independent component: a constant ⊗-factor for every
-                    // row of this bag.
-                    match table.get(&[]) {
-                        Some(sum) if !S::is_zero(sum) => initial_acc = S::mul(&initial_acc, sum),
-                        _ => dead = true,
-                    }
-                    continue;
-                }
-                join_specs.push((edge.depth, &edge.key_depths));
-                group_tables.push(table);
-            }
-            let joins: Vec<Join<'_, S::Value>> = join_specs
-                .into_iter()
-                .zip(group_tables.iter())
-                .map(|((depth, key_depths), table)| Join {
-                    depth,
-                    key_depths: key_depths.to_vec(),
-                    table,
-                })
-                .collect();
+            let setup = bag_joins::<S>(bag, &edge_tables);
             if bag.is_root {
                 // The root's rows are only ever ⊕-folded — accumulate
                 // directly, early-exiting once the total absorbs.
-                let mut total = S::zero();
-                let mut rows = 0usize;
-                if !dead {
-                    run_program::<S>(
-                        &bag.program,
-                        index,
-                        weights,
-                        &joins,
-                        &mut |_, acc| {
-                            if S::is_zero(&acc) {
-                                return false;
-                            }
-                            rows += 1;
-                            total = S::add(&total, &acc);
-                            S::is_add_absorbing(&total)
-                        },
-                        initial_acc,
-                    );
-                }
-                peak = peak.max(rows);
-                return (total, peak);
+                let (total, rows) = root_total::<S>(bag, index, weights, setup);
+                return (total, peak.max(rows));
             }
-            let mut table = BagTable {
-                stride: bag.program.elems.len(),
-                rows: Vec::new(),
-                values: Vec::new(),
-            };
-            if !dead {
-                run_program::<S>(
-                    &bag.program,
-                    index,
-                    weights,
-                    &joins,
-                    &mut |row, acc| {
-                        if !S::is_zero(&acc) {
-                            table.rows.extend_from_slice(row);
-                            table.values.push(acc);
-                        }
-                        false
-                    },
-                    initial_acc,
-                );
-            }
+            let table = bag_rows::<S>(bag, index, weights, setup);
             peak = peak.max(table.len());
             if table.len() == 0 {
                 return (S::zero(), peak); // some bag admits nothing
             }
-            tables[bag.id] = Some(table);
+            hand_up::<S>(bag, &table, &mut edge_tables);
         }
         unreachable!("the root bag is last in children-before-parents order")
     }
 }
 
-/// A compiled *answer* program for a query with free variables: two tree
-/// DPs of [`TreeDpProgram`] over free-extended forms of one decomposition,
-/// plus the positions needed to group by and to pin the free elements.
+/// A compiled *answer* program for a query with free variables: three tree
+/// DPs of [`TreeDpProgram`] over forms of one decomposition, sharing one
+/// prefilter pass, plus the positions needed to group by, to pin and to
+/// read off the free elements.
 ///
 /// * [`AnswerProgram::answer_table`] runs over the **answer closure**
 ///   ([`TreeDecomposition::answer_closure`] — each free element adjoined
@@ -1033,27 +1132,37 @@ impl TreeDpProgram {
 ///   group count.  The closure's width, not the number of free elements,
 ///   sets the table sizes: a free element far from the root only widens
 ///   the bags on its way up.
+/// * [`AnswerProgram::viable_domains`] runs a **full reducer** over the
+///   plain decomposition: a [`BoolSemiring`] bottom-up pass that keeps
+///   every bag's rows, then a parents-before-children semijoin pass.
+///   Every surviving row then extends to a homomorphism, so the distinct
+///   images of a free element in one bag holding it are exactly
+///   `{h(f) : h a homomorphism}` — its *viable domain*.  This is the
+///   cursor's preprocessing: one linear pass per index version, cached on
+///   the program.
 /// * [`AnswerProgram::cursor`] runs over the **answer decomposition**
 ///   ([`TreeDecomposition::answer_decomposition`] — every free element
 ///   adjoined to every bag), so a prefix of free images can be pinned
 ///   uniformly and certified by one pinned decide per probe.  It is a
 ///   pinned-prefix DFS over the free elements in declared order,
-///   candidates ascending from the sorted prefilter domains, and emits
-///   answers in lexicographically ascending order (the [`BTreeSet`] order
-///   of the brute-force projection oracle) without ever materialising the
-///   answer set; the work between consecutive answers is bounded by the
+///   candidates ascending from the viable domains, and emits answers in
+///   lexicographically ascending order (the [`BTreeSet`] order of the
+///   brute-force projection oracle) without ever materialising the answer
+///   set; the work between consecutive answers is bounded by the viable
 ///   domains and the DP size, independent of how many answers the query
 ///   has in total.  Unpinned depths of each probe walk the bag's
 ///   posting-list driver, as unpinned enumeration does.
 ///
-/// Both programs share one prefilter pass.  The reported
-/// [`AnswerProgram::answer_width`] is the closure's — at most the counting
-/// width plus the number of free elements.  Unweighted semirings only.
+/// The reported [`AnswerProgram::answer_width`] is the closure's — at most
+/// the counting width plus the number of free elements.  Unweighted
+/// semirings only.
 pub struct AnswerProgram {
     /// The tree DP over the answer closure (grouped root pass).
     grouped: TreeDpProgram,
     /// The tree DP over the answer decomposition (cursor probes).
     pinned: TreeDpProgram,
+    /// The tree DP over the plain decomposition (full reducer).
+    reducer: TreeDpProgram,
     /// The free elements of the query, in declared (answer-column) order.
     free: Vec<Element>,
     /// `pin_depths[bag_pos][j]`: the depth of free element `j` in the
@@ -1063,11 +1172,21 @@ pub struct AnswerProgram {
     /// The root-row positions of the free elements in `grouped`, in
     /// declared order.
     root_free_positions: Vec<u32>,
-    /// Sorted candidate images of each free element (prefilter domains).
-    free_domains: Vec<Vec<u32>>,
+    /// Per free element: a `reducer` bag id holding it, and its position in
+    /// that bag's row order.
+    free_sites: Vec<(usize, usize)>,
+    /// The viable domains of the last index state reduced, keyed by the
+    /// structure's content token: it names one content state, whereas one
+    /// version number can be reached by two clones of an index that took
+    /// different deltas.
+    viable: Mutex<Option<(u64, ViableDomains)>>,
     /// Width of the answer closure.
     width: usize,
 }
+
+/// The viable domain of each free element, in declared order (see
+/// [`AnswerProgram::viable_domains`]).
+pub type ViableDomains = Arc<[Vec<u32>]>;
 
 /// The depth of each of `free` in a compiled bag's element order.
 fn free_depths(bag: &TreeBag, free: &[Element]) -> Vec<usize> {
@@ -1103,6 +1222,7 @@ impl AnswerProgram {
         let closure = td.answer_closure(free);
         let grouped = TreeDpProgram::compile_with(a, index, &closure, &doms);
         let pinned = TreeDpProgram::compile_with(a, index, &td.answer_decomposition(free), &doms);
+        let reducer = TreeDpProgram::compile_with(a, index, td, &doms);
         let pin_depths = pinned
             .bags
             .iter()
@@ -1116,14 +1236,28 @@ impl AnswerProgram {
             .into_iter()
             .map(|d| d as u32)
             .collect();
-        let free_domains = free.iter().map(|&f| doms.domain(f).to_vec()).collect();
+        let free_sites = free
+            .iter()
+            .map(|f| {
+                reducer
+                    .bags
+                    .iter()
+                    .find_map(|bag| {
+                        let pos = bag.program.elems.iter().position(|e| e == f)?;
+                        Some((bag.id, pos))
+                    })
+                    .expect("a tree decomposition covers every element")
+            })
+            .collect();
         AnswerProgram {
             grouped,
             pinned,
+            reducer,
             free: free.to_vec(),
             pin_depths,
             root_free_positions,
-            free_domains,
+            free_sites,
+            viable: Mutex::new(None),
             width: closure.width(),
         }
     }
@@ -1157,45 +1291,20 @@ impl AnswerProgram {
         if !p.satisfiable {
             return out;
         }
-        let mut tables: Vec<Option<BagTable<S::Value>>> = (0..p.n_bags).map(|_| None).collect();
+        let mut edge_tables = p.no_tables::<S::Value>();
         for bag in &p.bags {
-            let mut group_tables: Vec<GroupTable<S::Value>> = Vec::with_capacity(bag.edges.len());
-            let mut join_specs: Vec<(usize, &[u32])> = Vec::with_capacity(bag.edges.len());
-            let mut initial_acc = S::one();
-            let mut dead = false;
-            for edge in &bag.edges {
-                let child = tables[edge.child].take().expect("children before parents");
-                let table = child.group_sums::<S>(&edge.child_positions);
-                if edge.key_depths.is_empty() {
-                    match table.get(&[]) {
-                        Some(sum) if !S::is_zero(sum) => initial_acc = S::mul(&initial_acc, sum),
-                        _ => dead = true,
-                    }
-                    continue;
-                }
-                join_specs.push((edge.depth, &edge.key_depths));
-                group_tables.push(table);
-            }
-            let joins: Vec<Join<'_, S::Value>> = join_specs
-                .into_iter()
-                .zip(group_tables.iter())
-                .map(|((depth, key_depths), table)| Join {
-                    depth,
-                    key_depths: key_depths.to_vec(),
-                    table,
-                })
-                .collect();
+            let setup = bag_joins::<S>(bag, &edge_tables);
             if bag.is_root {
                 // Root rows are grouped by free assignment instead of being
                 // ⊕-folded into a scalar; no absorbing early exit — every
                 // group must be discovered.
                 let mut key: Vec<u32> = Vec::with_capacity(self.free.len());
-                if !dead {
+                if !setup.dead {
                     run_program::<S>(
                         &bag.program,
                         index,
                         None,
-                        &joins,
+                        &setup.joins,
                         &mut |row, acc| {
                             if !S::is_zero(&acc) {
                                 key.clear();
@@ -1206,36 +1315,16 @@ impl AnswerProgram {
                             }
                             false
                         },
-                        initial_acc,
+                        setup.initial_acc,
                     );
                 }
                 return out;
             }
-            let mut table = BagTable {
-                stride: bag.program.elems.len(),
-                rows: Vec::new(),
-                values: Vec::new(),
-            };
-            if !dead {
-                run_program::<S>(
-                    &bag.program,
-                    index,
-                    None,
-                    &joins,
-                    &mut |row, acc| {
-                        if !S::is_zero(&acc) {
-                            table.rows.extend_from_slice(row);
-                            table.values.push(acc);
-                        }
-                        false
-                    },
-                    initial_acc,
-                );
-            }
+            let table = bag_rows::<S>(bag, index, None, setup);
             if table.len() == 0 {
                 return out; // some bag admits nothing: no answers
             }
-            tables[bag.id] = Some(table);
+            hand_up::<S>(bag, &table, &mut edge_tables);
         }
         unreachable!("the root bag is last in children-before-parents order")
     }
@@ -1244,6 +1333,80 @@ impl AnswerProgram {
     /// a full homomorphism).
     pub fn count_answers(&self, index: &StructureIndex) -> u64 {
         self.answer_table::<BoolSemiring>(index).len() as u64
+    }
+
+    /// The viable domain of each free element, in declared order: the
+    /// sorted images `{h(f) : h a homomorphism}`, read off one
+    /// full-reducer pass.  The result is cached for the index's current
+    /// content state, so a version pays the pass once however many pages
+    /// it serves; a caller that finds the cache busy (another thread is
+    /// reading or filling it) computes the domains without storing them.
+    pub fn viable_domains(&self, index: &StructureIndex) -> ViableDomains {
+        debug_assert_eq!(
+            index.id(),
+            self.reducer.index_id,
+            "program run on a foreign index"
+        );
+        let token = index.structure().content_token();
+        let Ok(mut slot) = self.viable.try_lock() else {
+            return self.reduce(index).into();
+        };
+        if let Some((seen, domains)) = slot.as_ref() {
+            if *seen == token {
+                return Arc::clone(domains);
+            }
+        }
+        let domains: ViableDomains = self.reduce(index).into();
+        *slot = Some((token, Arc::clone(&domains)));
+        domains
+    }
+
+    /// The full reducer behind [`AnswerProgram::viable_domains`]: a
+    /// bottom-up pass that keeps every bag's rows (each semijoined with its
+    /// children through the joins), then a top-down pass semijoining every
+    /// child with its reduced parent.  Afterwards each row of each bag is
+    /// the restriction of some homomorphism.
+    fn reduce(&self, index: &StructureIndex) -> Vec<Vec<u32>> {
+        type B = BoolSemiring;
+        let p = &self.reducer;
+        let no_answers = || vec![Vec::new(); self.free.len()];
+        if !p.satisfiable {
+            return no_answers();
+        }
+        let mut edge_tables = p.no_tables::<bool>();
+        let mut tables: Vec<Option<BagTable<bool>>> = (0..p.n_bags).map(|_| None).collect();
+        for bag in &p.bags {
+            let table = bag_rows::<B>(bag, index, None, bag_joins::<B>(bag, &edge_tables));
+            if table.len() == 0 {
+                return no_answers(); // no homomorphism at all
+            }
+            if !bag.is_root {
+                hand_up::<B>(bag, &table, &mut edge_tables);
+            }
+            tables[bag.id] = Some(table);
+        }
+        // Parents before children: each bag is reduced by its parent's
+        // keys, then hands its own keys down.
+        let mut parent_keys = p.no_tables::<bool>();
+        for bag in p.bags.iter().rev() {
+            let table = tables[bag.id].as_mut().expect("every bag kept its rows");
+            if let Some(keys) = parent_keys[bag.id].take() {
+                table.semijoin(&bag.up, &keys);
+            }
+            for edge in &bag.edges {
+                parent_keys[edge.child] = Some(table.group_sums::<B>(&edge.key_depths));
+            }
+        }
+        self.free_sites
+            .iter()
+            .map(|&(id, pos)| {
+                let table = tables[id].as_ref().expect("every bag kept its rows");
+                let mut domain: Vec<u32> = (0..table.len()).map(|i| table.row(i)[pos]).collect();
+                domain.sort_unstable();
+                domain.dedup();
+                domain
+            })
+            .collect()
     }
 
     /// Does some homomorphism map the free elements to `prefix` (a prefix
@@ -1262,110 +1425,62 @@ impl AnswerProgram {
         if !p.satisfiable {
             return false;
         }
-        let mut tables: Vec<Option<BagTable<bool>>> = (0..p.n_bags).map(|_| None).collect();
+        let mut edge_tables = p.no_tables::<bool>();
         for (pos, bag) in p.bags.iter().enumerate() {
-            let mut group_tables: Vec<GroupTable<bool>> = Vec::with_capacity(bag.edges.len());
-            let mut join_specs: Vec<(usize, &[u32])> = Vec::with_capacity(bag.edges.len());
-            let mut initial_acc = true;
-            let mut dead = false;
-            for edge in &bag.edges {
-                let child = tables[edge.child].take().expect("children before parents");
-                let table = child.group_sums::<B>(&edge.child_positions);
-                if edge.key_depths.is_empty() {
-                    match table.get(&[]) {
-                        Some(sum) if !B::is_zero(sum) => initial_acc = B::mul(&initial_acc, sum),
-                        _ => dead = true,
-                    }
-                    continue;
-                }
-                join_specs.push((edge.depth, &edge.key_depths));
-                group_tables.push(table);
+            let setup = bag_joins::<B>(bag, &edge_tables);
+            if setup.dead {
+                return false;
             }
-            let joins: Vec<Join<'_, bool>> = join_specs
-                .into_iter()
-                .zip(group_tables.iter())
-                .map(|((depth, key_depths), table)| Join {
-                    depth,
-                    key_depths: key_depths.to_vec(),
-                    table,
-                })
-                .collect();
-            let mut pins: Vec<Option<u32>> = vec![None; bag.program.elems.len()];
+            let n = bag.program.elems.len();
+            let mut pins: Vec<Option<u32>> = vec![None; n];
             for (j, &v) in prefix.iter().enumerate() {
                 pins[self.pin_depths[pos][j]] = Some(v);
             }
-            let mut joins_at: Vec<Vec<usize>> = vec![Vec::new(); bag.program.elems.len().max(1)];
-            for (j, join) in joins.iter().enumerate() {
-                joins_at[join.depth].push(j);
-            }
-            let mut row = vec![0u32; bag.program.elems.len()];
-            let mut args = Vec::with_capacity(bag.program.max_arity);
-            let mut key = Vec::new();
-            if bag.is_root {
-                let mut found = false;
-                if !dead {
-                    enumerate_pinned::<B>(
-                        &bag.program,
-                        index,
-                        &joins_at,
-                        &joins,
-                        &pins,
-                        None,
-                        0,
-                        &mut row,
-                        &mut args,
-                        &mut key,
-                        &initial_acc,
-                        scratch,
-                        &mut |_, acc| {
-                            if acc {
-                                found = true;
-                            }
-                            found
-                        },
-                    );
-                }
-                return found;
-            }
             let mut table = BagTable {
-                stride: bag.program.elems.len(),
+                stride: n,
                 rows: Vec::new(),
                 values: Vec::new(),
             };
-            if !dead {
-                enumerate_pinned::<B>(
-                    &bag.program,
-                    index,
-                    &joins_at,
-                    &joins,
-                    &pins,
-                    None,
-                    0,
-                    &mut row,
-                    &mut args,
-                    &mut key,
-                    &initial_acc,
-                    scratch,
-                    &mut |r, acc| {
-                        if acc {
-                            table.rows.extend_from_slice(r);
-                            table.values.push(acc);
-                        }
-                        false
-                    },
-                );
+            let mut found = false;
+            enumerate_pinned::<B>(
+                &bag.program,
+                index,
+                &joins_at(&setup.joins, n),
+                &setup.joins,
+                &pins,
+                None,
+                0,
+                &mut vec![0u32; n],
+                &mut Vec::with_capacity(bag.program.max_arity),
+                &mut Vec::new(),
+                &setup.initial_acc,
+                scratch,
+                &mut |r, acc| {
+                    if acc && bag.is_root {
+                        found = true;
+                    } else if acc {
+                        table.rows.extend_from_slice(r);
+                        table.values.push(acc);
+                    }
+                    found
+                },
+            );
+            if bag.is_root {
+                return found;
             }
             if table.len() == 0 {
                 return false; // some bag admits nothing under these pins
             }
-            tables[bag.id] = Some(table);
+            hand_up::<B>(bag, &table, &mut edge_tables);
         }
         unreachable!("the root bag is last in children-before-parents order")
     }
 
     /// A bounded-delay cursor over the answers, in lexicographically
     /// ascending order of the free images (declared free order, `u32`
-    /// element order within a column).
+    /// element order within a column).  Reads the viable domains first
+    /// ([`AnswerProgram::viable_domains`] — one full-reducer pass on a
+    /// version this program has not seen, a cache hit otherwise).
     pub fn cursor<'a>(&'a self, index: &'a StructureIndex) -> AnswerCursor<'a> {
         debug_assert_eq!(
             index.id(),
@@ -1373,9 +1488,15 @@ impl AnswerProgram {
             "cursor on a foreign index"
         );
         let widest = self.pinned.bags.iter().map(|b| b.program.elems.len());
+        let domains = if self.free.is_empty() {
+            Arc::from(Vec::new())
+        } else {
+            self.viable_domains(index)
+        };
         AnswerCursor {
             program: self,
             index,
+            domains,
             stack: Vec::new(),
             prefix: Vec::new(),
             scratch: vec![Vec::new(); widest.max().unwrap_or(0)],
@@ -1394,14 +1515,19 @@ enum CursorState {
 }
 
 /// Bounded-delay answer enumeration over an [`AnswerProgram`]: a DFS over
-/// the free elements in declared order whose every step is certified by a
-/// pinned decide, so the cursor only ever walks viable prefixes.  The work
-/// per produced answer is bounded by (free count) × (largest free domain) ×
-/// (one DP pass) — independent of the total number of answers, with no
-/// materialisation and no per-answer state beyond the current prefix.
+/// the free elements in declared order, each level walking its free
+/// element's viable domain, whose every step is certified by a pinned
+/// decide, so the cursor only ever walks viable prefixes.  After the
+/// one-pass-per-version preprocessing of
+/// [`AnswerProgram::viable_domains`], the work per produced answer is
+/// bounded by (free count) × (largest viable domain) × (one DP pass) —
+/// independent of the total number of answers, with no materialisation
+/// and no per-answer state beyond the current prefix.
 pub struct AnswerCursor<'a> {
     program: &'a AnswerProgram,
     index: &'a StructureIndex,
+    /// The viable domain of each free element (declared order).
+    domains: ViableDomains,
     /// Candidate indices of the current viable prefix, one per free slot.
     stack: Vec<usize>,
     /// The images of the current prefix (parallel to `stack`).
@@ -1420,7 +1546,7 @@ impl AnswerCursor<'_> {
         loop {
             let level = self.stack.len();
             debug_assert_eq!(self.prefix.len(), level);
-            let dom = &self.program.free_domains[level];
+            let dom = &self.domains[level];
             let mut found = false;
             while probe < dom.len() {
                 self.prefix.push(dom[probe]);
@@ -1543,47 +1669,6 @@ pub struct RetainedEvalStats {
     pub peak_table: usize,
 }
 
-/// The join environment of one bag against the retained child tables:
-/// borrow-joins plus the folded constant factor of independent components.
-struct RetainedJoins<'t, V> {
-    joins: Vec<Join<'t, V>>,
-    initial_acc: V,
-    /// Some independent child has ⊕-total zero — every row of this bag is
-    /// dead.
-    dead: bool,
-}
-
-fn retained_join_setup<'t, S: Semiring>(
-    bag: &TreeBag,
-    edge_tables: &'t [Option<GroupTable<S::Value>>],
-) -> RetainedJoins<'t, S::Value> {
-    let mut joins = Vec::with_capacity(bag.edges.len());
-    let mut initial_acc = S::one();
-    let mut dead = false;
-    for edge in &bag.edges {
-        let table = edge_tables[edge.child]
-            .as_ref()
-            .expect("children before parents");
-        if edge.key_depths.is_empty() {
-            match table.get(&[]) {
-                Some(sum) if !S::is_zero(sum) => initial_acc = S::mul(&initial_acc, sum),
-                _ => dead = true,
-            }
-            continue;
-        }
-        joins.push(Join {
-            depth: edge.depth,
-            key_depths: edge.key_depths.clone(),
-            table,
-        });
-    }
-    RetainedJoins {
-        joins,
-        initial_acc,
-        dead,
-    }
-}
-
 /// What one full bag evaluation produced.
 enum BagOutcome<V> {
     /// The root's ⊕-total.
@@ -1601,55 +1686,17 @@ fn compute_bag_retained<S: Semiring>(
     bag: &TreeBag,
     index: &StructureIndex,
     edge_tables: &[Option<GroupTable<S::Value>>],
-    parent_positions: Option<&[u32]>,
 ) -> (BagOutcome<S::Value>, usize) {
-    let setup = retained_join_setup::<S>(bag, edge_tables);
+    let setup = bag_joins::<S>(bag, edge_tables);
     if bag.is_root {
-        let mut total = S::zero();
-        let mut rows = 0usize;
-        if !setup.dead {
-            run_program::<S>(
-                &bag.program,
-                index,
-                None,
-                &setup.joins,
-                &mut |_, acc| {
-                    if S::is_zero(&acc) {
-                        return false;
-                    }
-                    rows += 1;
-                    total = S::add(&total, &acc);
-                    S::is_add_absorbing(&total)
-                },
-                setup.initial_acc,
-            );
-        }
+        let (total, rows) = root_total::<S>(bag, index, None, setup);
         return (BagOutcome::Root(total), rows);
     }
-    let mut table = BagTable {
-        stride: bag.program.elems.len(),
-        rows: Vec::new(),
-        values: Vec::new(),
-    };
-    if !setup.dead {
-        run_program::<S>(
-            &bag.program,
-            index,
-            None,
-            &setup.joins,
-            &mut |row, acc| {
-                if !S::is_zero(&acc) {
-                    table.rows.extend_from_slice(row);
-                    table.values.push(acc);
-                }
-                false
-            },
-            setup.initial_acc,
-        );
-    }
-    let rows = table.len();
-    let positions = parent_positions.expect("non-root bags have a parent edge");
-    (BagOutcome::Table(table.group_sums::<S>(positions)), rows)
+    let table = bag_rows::<S>(bag, index, None, setup);
+    (
+        BagOutcome::Table(table.group_sums::<S>(&bag.up)),
+        table.len(),
+    )
 }
 
 /// Whether two group tables agree on every key with a nonzero value
@@ -1834,19 +1881,16 @@ fn patch_bag<S: Semiring>(
     mut target: PatchTarget<'_, S::Value>,
     changed: &mut bool,
 ) -> bool {
-    let setup = retained_join_setup::<S>(bag, edge_tables);
+    let setup = bag_joins::<S>(bag, edge_tables);
     if setup.dead {
         // Every row of this bag is annihilated by an empty independent
         // component, before and after the round alike.
         *changed = false;
         return true;
     }
-    let mut joins_at: Vec<Vec<usize>> = vec![Vec::new(); bag.program.elems.len().max(1)];
-    for (j, join) in setup.joins.iter().enumerate() {
-        joins_at[join.depth].push(j);
-    }
     let c = &bag.program.checks[pinned_at.0][pinned_at.1];
     let n = bag.program.elems.len();
+    let joins_at = joins_at(&setup.joins, n);
     let mut row = vec![0u32; n];
     let mut args = Vec::with_capacity(bag.program.max_arity);
     let mut key = Vec::new();
@@ -1976,18 +2020,6 @@ fn patch_bag<S: Semiring>(
 }
 
 impl TreeDpProgram {
-    /// Per bag id, the separator positions (in the bag's own row order)
-    /// toward its parent edge; `None` for the root.
-    fn parent_positions(&self) -> Vec<Option<&[u32]>> {
-        let mut out: Vec<Option<&[u32]>> = vec![None; self.n_bags];
-        for bag in &self.bags {
-            for e in &bag.edges {
-                out[e.child] = Some(&e.child_positions);
-            }
-        }
-        out
-    }
-
     /// Build the retained state from scratch (every bag evaluated once).
     fn build_retained<S: Semiring>(
         &self,
@@ -2001,10 +2033,8 @@ impl TreeDpProgram {
             root_value: S::zero(),
         };
         stats.full_rebuild = true;
-        let parent_pos = self.parent_positions();
         for bag in &self.bags {
-            let (out, rows) =
-                compute_bag_retained::<S>(bag, index, &st.edge_tables, parent_pos[bag.id]);
+            let (out, rows) = compute_bag_retained::<S>(bag, index, &st.edge_tables);
             stats.peak_table = stats.peak_table.max(rows);
             stats.bags_recomputed += 1;
             match out {
@@ -2069,7 +2099,6 @@ impl TreeDpProgram {
             return (st.root_value.clone(), stats);
         }
         let single_round = muts.len() == 1;
-        let parent_pos = self.parent_positions();
         let mut changed = vec![false; self.n_bags];
         for bag in &self.bags {
             let child_changed = bag.edges.iter().any(|e| changed[e.child]);
@@ -2105,9 +2134,12 @@ impl TreeDpProgram {
                 };
                 let mut root = st.root_value.clone();
                 let mut any = false;
-                let target = match (&mut own, parent_pos[bag.id]) {
-                    (Some(table), Some(positions)) => PatchTarget::Edge { table, positions },
-                    _ => PatchTarget::Root(&mut root),
+                let target = match &mut own {
+                    Some(table) => PatchTarget::Edge {
+                        table,
+                        positions: &bag.up,
+                    },
+                    None => PatchTarget::Root(&mut root),
                 };
                 let ok = patch_bag::<S>(
                     bag,
@@ -2132,8 +2164,7 @@ impl TreeDpProgram {
                 // table can no longer anchor change detection.
                 old_untrusted = true;
             }
-            let (out, rows) =
-                compute_bag_retained::<S>(bag, index, &st.edge_tables, parent_pos[bag.id]);
+            let (out, rows) = compute_bag_retained::<S>(bag, index, &st.edge_tables);
             stats.peak_table = stats.peak_table.max(rows);
             stats.bags_recomputed += 1;
             match out {
@@ -3062,6 +3093,124 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seeded random digraph on `n` vertices, each arc present with
+    /// probability `p`.
+    fn random_digraph(n: usize, p: f64, seed: u64) -> Structure {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let vocab = cq_structures::Vocabulary::graph();
+        let e = vocab.id_of("E").expect("graph vocabulary");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = cq_structures::StructureBuilder::new(vocab).with_universe(n);
+        for u in 0..n {
+            for v in 0..n {
+                if rng.gen_bool(p) {
+                    s.raw_fact(e, vec![u, v]);
+                }
+            }
+        }
+        s.build().expect("valid digraph")
+    }
+
+    /// Each answer column of the brute-force projection, sorted distinct.
+    fn answer_columns(a: &Structure, b: &Structure, free: &[Element]) -> Vec<Vec<u32>> {
+        let rows = cq_structures::answers_bruteforce(a, b, free);
+        (0..free.len())
+            .map(|j| {
+                let column: BTreeSet<u32> = rows.iter().map(|r| r[j] as u32).collect();
+                column.into_iter().collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn full_reducer_domains_are_the_answer_projections() {
+        let (two_parts, _) = cq_structures::disjoint_union(&[
+            &families::directed_path(2),
+            &families::directed_path(3),
+        ])
+        .unwrap();
+        let mut queries = vec![
+            two_parts,
+            families::directed_path(4),
+            families::directed_cycle(3),
+        ];
+        queries.extend((0..4).map(|seed| random_digraph(4, 0.4, seed)));
+        let mut targets: Vec<Structure> = (0..4).map(|s| random_digraph(6, 0.3, 100 + s)).collect();
+        // No arcs at all (the prefilter refutes), and an acyclic target
+        // (the directed triangle has no answers, found by the DP).
+        targets.push(random_digraph(5, 0.0, 7));
+        targets.push(families::directed_path(3));
+        let (mut empty_key_edges, mut zero_answers, mut checked) = (0, 0, 0);
+        for a in &queries {
+            let (_, td) = treewidth_of_structure(a);
+            let n = a.universe_size();
+            for b in &targets {
+                let index = StructureIndex::new(b);
+                for free in [Vec::new(), vec![0], vec![n - 1, 0], (0..n).collect()] {
+                    let program = AnswerProgram::compile(a, &index, &td, &free);
+                    let expected = answer_columns(a, b, &free);
+                    assert_eq!(
+                        program.viable_domains(&index).to_vec(),
+                        expected,
+                        "viable domains {a} -> {b} free {free:?}"
+                    );
+                    let reducer = &program.reducer;
+                    if reducer
+                        .bags
+                        .iter()
+                        .any(|bag| bag.edges.iter().any(|e| e.key_depths.is_empty()))
+                    {
+                        empty_key_edges += 1;
+                    }
+                    if !free.is_empty() && expected[0].is_empty() {
+                        zero_answers += 1;
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(
+            empty_key_edges > 0,
+            "no disconnected query reached the reducer"
+        );
+        assert!(zero_answers > 0, "no zero-answer target was checked");
+        assert!(checked >= 100, "only {checked} comparisons ran");
+    }
+
+    #[test]
+    fn viable_domains_are_cached_per_index_state() {
+        let a = families::directed_path(3);
+        let b = random_digraph(6, 0.4, 3);
+        let (_, td) = treewidth_of_structure(&a);
+        let mut index = StructureIndex::new(&b);
+        let free = [0, 2];
+        let program = AnswerProgram::compile(&a, &index, &td, &free);
+        let first = program.viable_domains(&index);
+        assert!(
+            Arc::ptr_eq(&first, &program.viable_domains(&index)),
+            "a second call on the same version must reuse the cached domains"
+        );
+        // Deleting an arc moves the version but not the domain epoch, so
+        // the program stays valid and must reduce again.
+        let e = index.vocabulary().id_of("E").expect("graph vocabulary");
+        let arc = index.structure().relation(e).row(0).to_vec();
+        let epoch = index.domain_epoch();
+        let mut batch = cq_structures::DeltaBatch::new();
+        batch.delete(e, arc);
+        index.apply_delta(&batch).expect("valid deletion");
+        assert_eq!(index.domain_epoch(), epoch);
+        let second = program.viable_domains(&index);
+        assert!(
+            !Arc::ptr_eq(&first, &second),
+            "a new version must not reuse"
+        );
+        assert_eq!(
+            second.to_vec(),
+            answer_columns(&a, index.structure(), &free)
+        );
+        assert!(Arc::ptr_eq(&second, &program.viable_domains(&index)));
     }
 
     #[test]

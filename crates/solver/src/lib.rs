@@ -47,6 +47,7 @@ pub use kernel::{
     hom_via_tree_decomposition_indexed, program_compilation_count, AnswerCursor, AnswerProgram,
     BagProgram, ForestProgram, ForestRun, GroupTable, KernelSearchStats, QueryDomains,
     RetainedEvalStats, SearchProgram, StairProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState,
+    ViableDomains,
 };
 pub use pathdp::{hom_via_path_decomposition, hom_via_staircase, PathDpReport};
 pub use problems::{has_k_cycle, has_k_path, st_path_at_most};
