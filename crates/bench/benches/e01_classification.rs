@@ -104,10 +104,10 @@ fn bench(c: &mut Criterion) {
         .collect();
     let mut g = c.benchmark_group("e01-batch");
     g.sample_size(10);
-    g.bench_function("engine.solve_batch (3 queries x 6 databases)", |b| {
+    g.bench_function("engine.batch (3 queries x 6 databases)", |b| {
         b.iter(|| {
             engine
-                .solve_batch(&batch)
+                .batch(&batch, |e, &(id, d)| e.solve_prepared(&e.prepared(id), d))
                 .iter()
                 .filter(|r| r.exists)
                 .count()

@@ -6,7 +6,7 @@
 //! instances is driven through engines whose tier orders differ by one
 //! tier, and the dispatch / answers are compared directly.
 
-use cq_core::{solve_instance, Engine, EngineConfig, SolverChoice};
+use cq_core::{Engine, EngineConfig, SolverChoice};
 use cq_solver::backtrack::{BacktrackConfig, BacktrackSolver};
 use cq_structures::families;
 use cq_workloads::database_fleet;
@@ -39,15 +39,12 @@ fn bench(c: &mut Criterion) {
 
     println!("E12: ablation — core preprocessing shrinks the evaluated query");
     let c8 = families::cycle(8);
-    let with_core = solve_instance(&c8, &families::path(2), EngineConfig::default());
-    let without_core = solve_instance(
-        &c8,
-        &families::path(2),
-        EngineConfig {
-            use_core: false,
-            ..EngineConfig::default()
-        },
-    );
+    let with_core = Engine::new(EngineConfig::default()).solve(&c8, &families::path(2));
+    let without_core = Engine::new(EngineConfig {
+        use_core: false,
+        ..EngineConfig::default()
+    })
+    .solve(&c8, &families::path(2));
     println!(
         "  C8 query: evaluated size with core = {}, without = {}",
         with_core.evaluated_query_size, without_core.evaluated_query_size
@@ -76,18 +73,19 @@ fn bench(c: &mut Criterion) {
     let query = families::cycle(6);
     let target = families::grid(3, 3);
     g.bench_function("engine with core preprocessing", |bch| {
-        bch.iter(|| solve_instance(&query, &target, EngineConfig::default()).exists)
+        bch.iter(|| {
+            Engine::new(EngineConfig::default())
+                .solve(&query, &target)
+                .exists
+        })
     });
     g.bench_function("engine without core preprocessing", |bch| {
         bch.iter(|| {
-            solve_instance(
-                &query,
-                &target,
-                EngineConfig {
-                    use_core: false,
-                    ..EngineConfig::default()
-                },
-            )
+            Engine::new(EngineConfig {
+                use_core: false,
+                ..EngineConfig::default()
+            })
+            .solve(&query, &target)
             .exists
         })
     });
@@ -105,7 +103,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(*name, |bch| {
             bch.iter(|| {
                 engine
-                    .solve_batch(&batch)
+                    .batch(&batch, |e, &(id, d)| e.solve_prepared(&e.prepared(id), d))
                     .iter()
                     .filter(|r| r.exists)
                     .count()

@@ -53,13 +53,13 @@ fn bench(c: &mut Criterion) {
             })
         },
     );
-    g.bench_function("prepared handle: solve_batch over registered query", |b| {
+    g.bench_function("prepared handle: batch over a registered query", |b| {
         let engine = Engine::new(EngineConfig::default());
         let id = engine.register(&query);
         let batch: Vec<_> = fleet.iter().map(|db| (id, db)).collect();
         b.iter(|| {
             engine
-                .solve_batch(&batch)
+                .batch(&batch, |e, &(id, d)| e.solve_prepared(&e.prepared(id), d))
                 .iter()
                 .filter(|r| r.exists)
                 .count()
@@ -81,7 +81,7 @@ fn bench(c: &mut Criterion) {
         let engine = Engine::new(EngineConfig::default()).with_cache_capacity(0);
         b.iter(|| {
             engine
-                .solve_batch_instances(&traffic.instances())
+                .batch(&traffic.instances(), |e, &(q, d)| e.solve(q, d))
                 .iter()
                 .filter(|r| r.exists)
                 .count()
@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
         let engine = Engine::new(EngineConfig::default());
         b.iter(|| {
             engine
-                .solve_batch_instances(&traffic.instances())
+                .batch(&traffic.instances(), |e, &(q, d)| e.solve(q, d))
                 .iter()
                 .filter(|r| r.exists)
                 .count()
@@ -101,7 +101,7 @@ fn bench(c: &mut Criterion) {
 
     // Report the cache effectiveness a single warm pass ends with.
     let engine = Engine::new(EngineConfig::default());
-    engine.solve_batch_instances(&traffic.instances());
+    engine.batch(&traffic.instances(), |e, &(q, d)| e.solve(q, d));
     let stats = engine.cache_stats();
     println!(
         "E13: one warm pass over the mixed trace: {} misses (distinct queries), {} hits, {} cached plans",

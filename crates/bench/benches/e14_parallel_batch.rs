@@ -4,7 +4,7 @@
 //! Two sweeps, both printed as tables:
 //!
 //! 1. **Worker sweep** — the same repeated-query trace through
-//!    `solve_batch_instances` with `workers = 1, 2, 4, …`: wall-clock per
+//!    `Engine::batch` over `solve` with `workers = 1, 2, 4, …`: wall-clock per
 //!    batch and speedup vs the sequential path.  On a 4+-core machine the
 //!    parallel rows must show ≥ 2x; on fewer cores the table degenerates
 //!    honestly (the fan-out costs nothing but buys nothing).
@@ -35,7 +35,7 @@ fn bench(c: &mut Criterion) {
         println!("E14: note — speedup targets assume 4+ cores; this machine has {cores}");
     }
 
-    // ---- Worker sweep: parallel solve_batch_instances vs sequential ----
+    // ---- Worker sweep: parallel batch vs sequential ----
     // Mixed repeated-query traffic (4 query shapes x 24 repeats, databases
     // of 16 vertices): enough per-instance solver work that fan-out
     // amortizes thread spawn, with preparation amortized by the warm cache.
@@ -56,9 +56,9 @@ fn bench(c: &mut Criterion) {
     println!("  workers | median batch time | speedup vs workers=1");
     for &workers in &worker_counts {
         let engine = engine_with_workers(workers);
-        engine.solve_batch_instances(&instances); // warm the plan cache
+        engine.batch(&instances, |e, &(q, d)| e.solve(q, d)); // warm the plan cache
         let t = median_time(7, || {
-            engine.solve_batch_instances(&instances);
+            engine.batch(&instances, |e, &(q, d)| e.solve(q, d));
         });
         let baseline = *sequential_time.get_or_insert(t);
         println!(
@@ -71,15 +71,15 @@ fn bench(c: &mut Criterion) {
     // uniform `bench ...` output lines the other experiments produce.
     let mut g = c.benchmark_group("e14");
     g.sample_size(10);
-    g.bench_function("sequential: solve_batch_instances, workers=1", |b| {
+    g.bench_function("sequential: batch of solve, workers=1", |b| {
         let engine = engine_with_workers(1);
-        engine.solve_batch_instances(&instances);
-        b.iter(|| engine.solve_batch_instances(&instances).len())
+        engine.batch(&instances, |e, &(q, d)| e.solve(q, d));
+        b.iter(|| engine.batch(&instances, |e, &(q, d)| e.solve(q, d)).len())
     });
-    g.bench_function("parallel: solve_batch_instances, workers=auto", |b| {
+    g.bench_function("parallel: batch of solve, workers=auto", |b| {
         let engine = engine_with_workers(0);
-        engine.solve_batch_instances(&instances);
-        b.iter(|| engine.solve_batch_instances(&instances).len())
+        engine.batch(&instances, |e, &(q, d)| e.solve(q, d));
+        b.iter(|| engine.batch(&instances, |e, &(q, d)| e.solve(q, d)).len())
     });
     g.finish();
 
@@ -125,7 +125,7 @@ fn bench(c: &mut Criterion) {
 
     // Accounting sanity printed like E13's closing lines: one warm pass.
     let engine = engine_with_workers(0);
-    engine.solve_batch_instances(&instances);
+    engine.batch(&instances, |e, &(q, d)| e.solve(q, d));
     let stats = engine.cache_stats();
     let prep = engine.prep_stats();
     println!(

@@ -1,6 +1,6 @@
 //! E15 — counting through the prepared engine: cold preparation vs
 //! cached-plan counting throughput, and the worker sweep over
-//! `Engine::count_batch`.
+//! `Engine::batch` over `Engine::count_instance`.
 //!
 //! Three parts, printed as tables:
 //!
@@ -18,6 +18,7 @@
 
 use cq_bench::median_time;
 use cq_core::{CountReport, Engine, EngineConfig};
+use cq_structures::Structure;
 use cq_workloads::counting_traffic;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -27,6 +28,11 @@ fn engine_with_workers(workers: usize) -> Engine {
         workers,
         ..EngineConfig::default()
     })
+}
+
+/// Count every instance through the engine's one batch form.
+fn count_all(engine: &Engine, instances: &[(&Structure, &Structure)]) -> Vec<CountReport> {
+    engine.batch(instances, |e, &(q, d)| e.count_instance(q, d))
 }
 
 fn bench(c: &mut Criterion) {
@@ -44,13 +50,13 @@ fn bench(c: &mut Criterion) {
     // ---- Cold vs cached ----
     let cold = median_time(5, || {
         let engine = engine_with_workers(1);
-        let reports = engine.count_batch(&instances);
+        let reports = count_all(&engine, &instances);
         assert_eq!(reports.len(), instances.len());
     });
     let warm_engine = engine_with_workers(1);
-    warm_engine.count_batch(&instances); // warm plans + counting certificates
+    count_all(&warm_engine, &instances); // warm plans + counting certificates
     let cached = median_time(5, || {
-        warm_engine.count_batch(&instances);
+        count_all(&warm_engine, &instances);
     });
     println!("  cold   (prepare + count): {cold:>12.3?}");
     println!(
@@ -60,7 +66,7 @@ fn bench(c: &mut Criterion) {
 
     // ---- PrepStats audit: zero additional decomposition passes ----
     let before = warm_engine.prep_stats();
-    warm_engine.count_batch(&instances);
+    count_all(&warm_engine, &instances);
     let after = warm_engine.prep_stats();
     assert_eq!(
         before, after,
@@ -78,11 +84,11 @@ fn bench(c: &mut Criterion) {
     let mut baseline: Option<(Duration, Vec<CountReport>)> = None;
     for workers in [1usize, 2, 4, 8] {
         let engine = engine_with_workers(workers);
-        engine.count_batch(&instances); // warm
+        count_all(&engine, &instances); // warm
         let t = median_time(5, || {
-            engine.count_batch(&instances);
+            count_all(&engine, &instances);
         });
-        let reports = engine.count_batch(&instances);
+        let reports = count_all(&engine, &instances);
         for (report, &expected) in reports.iter().zip(&traffic.expected) {
             assert_eq!(report.count, expected, "closed-form count violated");
         }
@@ -101,13 +107,13 @@ fn bench(c: &mut Criterion) {
     // uniform `bench ...` output lines the other experiments produce.
     let mut g = c.benchmark_group("e15");
     g.sample_size(10);
-    g.bench_function("cold: count_batch, fresh engine each run", |b| {
-        b.iter(|| engine_with_workers(1).count_batch(&instances).len())
+    g.bench_function("cold: batched counts, fresh engine each run", |b| {
+        b.iter(|| count_all(&engine_with_workers(1), &instances).len())
     });
-    g.bench_function("cached: count_batch, warm engine", |b| {
+    g.bench_function("cached: batched counts, warm engine", |b| {
         let engine = engine_with_workers(1);
-        engine.count_batch(&instances);
-        b.iter(|| engine.count_batch(&instances).len())
+        count_all(&engine, &instances);
+        b.iter(|| count_all(&engine, &instances).len())
     });
     g.finish();
 }

@@ -64,8 +64,8 @@ fn bench(c: &mut Criterion) {
 
     // Reference engine: full cold pass, then save the store once.
     let cold_engine = prepare_cold(config, &fleet);
-    let cold_reports = cold_engine.solve_batch_instances(&batch);
-    let cold_counts = cold_engine.count_batch(&batch);
+    let cold_reports = cold_engine.batch(&batch, |e, &(q, d)| e.solve(q, d));
+    let cold_counts = cold_engine.batch(&batch, |e, &(q, d)| e.count_instance(q, d));
     let saved = cold_engine.save_plans(&store_path).expect("save_plans");
     assert_eq!(saved, FLEET as u64);
     let store_bytes = std::fs::metadata(&store_path).expect("store file").len();
@@ -82,8 +82,14 @@ fn bench(c: &mut Criterion) {
     let stats = warm_engine.prep_stats();
     assert_eq!(stats.plans_loaded, FLEET as u64);
     assert_eq!(stats.plans_rejected, 0);
-    assert_eq!(warm_engine.solve_batch_instances(&batch), cold_reports);
-    assert_eq!(warm_engine.count_batch(&batch), cold_counts);
+    assert_eq!(
+        warm_engine.batch(&batch, |e, &(q, d)| e.solve(q, d)),
+        cold_reports
+    );
+    assert_eq!(
+        warm_engine.batch(&batch, |e, &(q, d)| e.count_instance(q, d)),
+        cold_counts
+    );
     let stats = warm_engine.prep_stats();
     assert_eq!(stats.preparations, 0, "warm path prepared a plan");
     assert_eq!(stats.total_width_calls(), 0, "warm path ran a width DP");

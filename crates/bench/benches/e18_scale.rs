@@ -217,7 +217,10 @@ fn run_scale(scale: &Scale, config: &EngineConfig) -> ScaleReport {
         .iter()
         .flat_map(|q| slices.iter().map(move |s| (q, s)))
         .collect();
-    for ((q, slice), report) in count_batch.iter().zip(engine.count_batch(&count_batch)) {
+    for ((q, slice), report) in count_batch
+        .iter()
+        .zip(engine.batch(&count_batch, |e, &(q, d)| e.count_instance(q, d)))
+    {
         assert_eq!(report.count, count_homomorphisms_bruteforce(q, slice));
         comparisons += 1;
     }

@@ -11,8 +11,9 @@
 //!   the p50/p99 latency column;
 //! * **pipelined** — one connection per thread, the whole trace shipped
 //!   before the first response is read: singleton requests from different
-//!   threads pile up in the server's job queue and the dispatcher
-//!   coalesces them into `solve_batch` / `count_batch` fan-outs.
+//!   threads pile up in the server's job queue and the dispatcher drains
+//!   them as one round, evaluating the jobs in arrival order behind a
+//!   single queue wake-up.
 //!
 //! Every response (all disciplines) is compared bit-for-bit against a
 //! fresh in-process engine; the run aborts on the first disagreement, so
@@ -260,7 +261,7 @@ fn print_report(r: &SoakReport) {
     );
     println!("  {:>12}: {:>10.0} req/s", "pipelined", r.pipelined_rps);
     println!(
-        "  pipelined vs naive: {:.2}x   ({} requests coalesced into batch fan-outs)",
+        "  pipelined vs naive: {:.2}x   ({} requests drained in multi-job rounds)",
         r.speedup, r.coalesced_requests
     );
 }

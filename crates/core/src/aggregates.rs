@@ -13,8 +13,8 @@
 //! costs), so [`crate::Engine::aggregate`] picks its tier with
 //! [`CountMethod::for_widths`] on the original query's widths and runs on
 //! the original structure with the counting certificates, reusing the
-//! compiled counting programs (`tree_count` / `search_original` kernel
-//! slots): a compiled program is semiring-agnostic, only the run differs.
+//! counting role's compiled tree and search programs: a compiled program
+//! is semiring-agnostic, only the run differs.
 //!
 //! The weighted forest sum–product stays in the kernel as the Theorem
 //! 6.1 (3) reference (`aggregate_with_forest_indexed`, measured by E20),

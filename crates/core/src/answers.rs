@@ -20,9 +20,8 @@
 //! variable in every bag).
 //!
 //! The engine entry points are [`Engine::count_answers`] and the paged
-//! [`Engine::answers`] (with batch twins [`Engine::count_answers_batch`] /
-//! [`Engine::answers_batch`]); the kernel machinery they dispatch to is
-//! [`cq_solver::kernel::AnswerProgram`] (grouped root-bag DP for counting;
+//! [`Engine::answers`] (batched through [`Engine::batch`]); the kernel
+//! machinery they dispatch to is [`cq_solver::kernel::AnswerProgram`] (grouped root-bag DP for counting;
 //! for enumeration, one full-reducer pass per index version that leaves
 //! each free variable's viable domain, then a pinned-prefix cursor over
 //! those domains with per-answer delay independent of the total answer
@@ -32,8 +31,7 @@
 //!
 //! [`Engine::count_answers`]: crate::Engine::count_answers
 //! [`Engine::answers`]: crate::Engine::answers
-//! [`Engine::count_answers_batch`]: crate::Engine::count_answers_batch
-//! [`Engine::answers_batch`]: crate::Engine::answers_batch
+//! [`Engine::batch`]: crate::Engine::batch
 
 use crate::Degree;
 use cq_decomp::WidthProfile;

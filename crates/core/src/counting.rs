@@ -29,11 +29,9 @@
 //! oracle.
 
 use crate::engine::EngineConfig;
-use crate::service::Engine;
 use crate::Degree;
 use cq_decomp::WidthProfile;
 use cq_solver::Nat;
-use cq_structures::Structure;
 
 /// Which counting algorithm the engine picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,7 +146,7 @@ impl std::fmt::Display for CountOutcome {
 /// What the engine did and found on one counting instance.
 ///
 /// `PartialEq`/`Eq` so batch results can be compared wholesale — the
-/// determinism tests assert that [`Engine::count_batch`] under any worker
+/// determinism tests assert that [`crate::Engine::batch`] under any worker
 /// count returns a sequence identical to the sequential path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountReport {
@@ -169,23 +167,11 @@ pub struct CountReport {
     pub counted_query_size: usize,
 }
 
-/// Count the homomorphisms of a single `p-#HOM` instance with the algorithm
-/// its structure licenses.
-///
-/// Compatibility wrapper over the prepared-query engine, mirroring
-/// [`crate::solve_instance`]: builds a throwaway [`Engine`], prepares `a`
-/// once and counts.  Repeated-query callers should hold an [`Engine`] and
-/// use [`Engine::count_instance`] / [`Engine::count_batch`] so plans (and
-/// their counting certificates) are reused.
-pub fn count_instance(a: &Structure, b: &Structure, config: EngineConfig) -> CountReport {
-    Engine::new(config).count_instance(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PreparedQuery;
-    use cq_structures::{count_homomorphisms_bruteforce, families, StructureIndex};
+    use crate::{Engine, PreparedQuery};
+    use cq_structures::{count_homomorphisms_bruteforce, families, Structure, StructureIndex};
 
     fn prepared(a: &Structure) -> PreparedQuery {
         PreparedQuery::prepare(a, &EngineConfig::default())
@@ -237,11 +223,8 @@ mod tests {
     fn count_instance_wrapper_counts_the_original() {
         // #hom(P4, K3) = 3·2·2·2 = 24, even though the decision path
         // evaluates the core K2 (#hom(K2, K3) = 6).
-        let report = count_instance(
-            &families::path(4),
-            &families::clique(3),
-            EngineConfig::default(),
-        );
+        let report = Engine::new(EngineConfig::default())
+            .count_instance(&families::path(4), &families::clique(3));
         assert_eq!(report.count, 24);
         assert_eq!(report.counted_query_size, 4);
         assert_eq!(report.widths.treewidth, 1);

@@ -1,5 +1,5 @@
-//! Engine configuration, the decision tier table, per-instance reports,
-//! and the single-instance compatibility entry point.
+//! Engine configuration, the decision tier table and per-instance
+//! reports.
 //!
 //! Theorem 3.1 makes evaluation a function of one width profile: each tier
 //! is licensed by exactly one measure of the (core's) Gaifman graph, tried
@@ -13,17 +13,11 @@
 //! The rest of the machinery lives in the sibling modules:
 //! [`crate::prepared`] (the once-per-query [`crate::PreparedQuery`]
 //! artifact) and [`crate::service`] (the plan-caching [`crate::Engine`]
-//! with the batch API).  [`solve_instance`] is the historical one-shot
-//! API, now a thin wrapper that builds a throwaway [`crate::Engine`] —
-//! callers with repeated queries should hold an [`crate::Engine`] and use
-//! [`crate::Engine::solve`] / [`crate::Engine::solve_batch`] so plans are
-//! reused.
+//! with its one batch form, [`crate::Engine::batch`]).
 
-use crate::service::Engine;
 use crate::Degree;
 use cq_decomp::WidthProfile;
 use cq_solver::backtrack::BacktrackConfig;
-use cq_structures::Structure;
 
 /// A decision tier: which algorithm the engine picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +72,7 @@ pub struct EngineConfig {
     pub pathwidth_threshold: usize,
     /// Treewidth threshold below which the tree DP is used.
     pub treewidth_threshold: usize,
-    /// Worker threads for the batch APIs ([`crate::Engine::solve_batch`] /
-    /// [`crate::Engine::solve_batch_instances`]).  `0` (the default) means
+    /// Worker threads for [`crate::Engine::batch`].  `0` (the default) means
     /// "use the machine's available parallelism"; `1` forces the sequential
     /// path.  Results are returned in input order and are identical for
     /// every worker count.
@@ -131,7 +124,7 @@ impl EngineConfig {
 /// What the engine did and found.
 ///
 /// `PartialEq`/`Eq` so batch results can be compared wholesale — the
-/// parallel-determinism tests assert that `solve_batch` under any worker
+/// parallel-determinism tests assert that [`crate::Engine::batch`] under any worker
 /// count returns a sequence identical to the sequential path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineReport {
@@ -149,21 +142,10 @@ pub struct EngineReport {
     pub evaluated_query_size: usize,
 }
 
-/// Solve a single `p-HOM` instance with the algorithm its structure
-/// licenses.
-///
-/// Compatibility wrapper over the prepared-query engine: builds a throwaway
-/// [`Engine`], prepares `a` once and solves.  Repeated-query callers should
-/// hold an [`Engine`] instead — its plan cache amortizes the preparation
-/// (core + width DPs + decompositions) across calls, which this wrapper by
-/// construction cannot.
-pub fn solve_instance(a: &Structure, b: &Structure, config: EngineConfig) -> EngineReport {
-    Engine::new(config).solve(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use cq_structures::{families, homomorphism_exists, star_expansion};
 
     #[test]
@@ -183,7 +165,7 @@ mod tests {
             for b in &targets {
                 // Skip vocabulary mismatches (coloured queries vs plain graphs):
                 // those instances are trivially unsatisfiable but uninteresting.
-                let report = solve_instance(a, b, EngineConfig::default());
+                let report = Engine::new(EngineConfig::default()).solve(a, b);
                 assert_eq!(report.exists, homomorphism_exists(a, b), "{a} -> {b}");
             }
         }
@@ -192,13 +174,13 @@ mod tests {
     #[test]
     fn engine_picks_the_licensed_algorithm() {
         let cfg = EngineConfig::default();
-        let r1 = solve_instance(&families::star(5), &families::clique(3), cfg);
+        let r1 = Engine::new(cfg).solve(&families::star(5), &families::clique(3));
         assert_eq!(r1.choice, SolverChoice::TreeDepth);
         assert_eq!(r1.degree_hint, Degree::ParaL);
 
         let long_colored_path = star_expansion(&families::path(9));
         let target = cq_structures::ops::colored_target(9, &families::path(12), |e| vec![e, e + 1]);
-        let r2 = solve_instance(&long_colored_path, &target, cfg);
+        let r2 = Engine::new(cfg).solve(&long_colored_path, &target);
         assert_eq!(r2.choice, SolverChoice::PathDecomposition);
 
         let colored_tree = star_expansion(&families::tree_t(3));
@@ -210,11 +192,11 @@ mod tests {
             pathwidth_threshold: 1,
             ..cfg
         };
-        let r3 = solve_instance(&colored_tree, &tree_target, tree_cfg);
+        let r3 = Engine::new(tree_cfg).solve(&colored_tree, &tree_target);
         assert_eq!(r3.choice, SolverChoice::TreeDecomposition);
         assert!(r3.exists);
 
-        let r4 = solve_instance(&families::clique(5), &families::clique(6), cfg);
+        let r4 = Engine::new(cfg).solve(&families::clique(5), &families::clique(6));
         assert_eq!(r4.choice, SolverChoice::Backtracking);
         assert_eq!(r4.degree_hint, Degree::W1Hard);
         assert!(r4.exists);
@@ -223,15 +205,12 @@ mod tests {
     #[test]
     fn core_ablation_shrinks_the_evaluated_query() {
         let c8 = families::cycle(8);
-        let with_core = solve_instance(&c8, &families::path(2), EngineConfig::default());
-        let without_core = solve_instance(
-            &c8,
-            &families::path(2),
-            EngineConfig {
-                use_core: false,
-                ..EngineConfig::default()
-            },
-        );
+        let with_core = Engine::new(EngineConfig::default()).solve(&c8, &families::path(2));
+        let without_core = Engine::new(EngineConfig {
+            use_core: false,
+            ..EngineConfig::default()
+        })
+        .solve(&c8, &families::path(2));
         assert_eq!(with_core.exists, without_core.exists);
         assert!(with_core.evaluated_query_size < without_core.evaluated_query_size);
         assert!(with_core.widths.treedepth <= without_core.widths.treedepth);

@@ -46,13 +46,13 @@
 //!     table and compiled programs;
 //!   - [`service`] / [`Engine`] — the sharded LRU plan cache keyed by an
 //!     isomorphism-invariant query fingerprint (single-flight preparation
-//!     under concurrent misses), the parallel batch evaluation APIs
-//!     ([`Engine::solve_batch`], [`Engine::count_batch`], worker count via
-//!     [`EngineConfig`]), and the engine-backed Lemma 6.2 reduction
-//!     [`Engine::count_star`];
-//!   - [`engine`] also holds the configuration, the reports, and the
-//!     single-instance compatibility wrappers [`solve_instance`] /
-//!     [`count_instance`];
+//!     under concurrent misses), one single-operation method per request
+//!     kind ([`Engine::solve`], [`Engine::count_instance`],
+//!     [`Engine::aggregate`], [`Engine::count_answers`], [`Engine::answers`]),
+//!     one parallel batch form over any of them ([`Engine::batch`], worker
+//!     count via [`EngineConfig`]), and the engine-backed Lemma 6.2
+//!     reduction [`Engine::count_star`];
+//!   - [`engine`] also holds the configuration and the reports;
 //!   - [`persist`] / [`PlanStore`] — the versioned, checksummed on-disk
 //!     plan store: [`Engine::save_plans`] snapshots the cache,
 //!     [`Engine::load_plans`] / [`Engine::with_plan_store`] warm-start a
@@ -75,8 +75,8 @@ use cq_structures::{core_of, Structure};
 
 pub use aggregates::{AggregateObjective, AggregateReport};
 pub use answers::{AnswerCountReport, AnswerMethod, AnswerPage};
-pub use counting::{count_instance, CountMethod, CountOutcome, CountReport};
-pub use engine::{solve_instance, EngineConfig, EngineReport, SolverChoice};
+pub use counting::{CountMethod, CountOutcome, CountReport};
+pub use engine::{EngineConfig, EngineReport, SolverChoice};
 pub use persist::{
     PersistError, PlanStore, StoredPlan, WarmStartSummary, PLAN_STORE_MAGIC, PLAN_STORE_VERSION,
 };

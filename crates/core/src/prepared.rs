@@ -40,17 +40,16 @@ use cq_graphs::{gaifman_graph, Graph};
 use cq_logic::canonical::query_fingerprint;
 use cq_logic::treedepth_sentence::{corresponding_sentence_with_forest, TreeDepthSentence};
 use cq_solver::kernel::{
-    aggregate_with_forest_indexed, AnswerProgram, ForestProgram, ForestRun, KernelSearchStats,
-    SearchProgram, StairProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState,
+    AnswerProgram, ForestProgram, SearchProgram, StairProgram, TreeDpProgram, TreeDpRun,
+    TreeIncrementalState,
 };
 use cq_solver::{
-    BoolSemiring, CheckedNatSemiring, Cost, MaxWeightSemiring, MinCostSemiring, Nat, PathDpReport,
-    Semiring,
+    BoolSemiring, CheckedNatSemiring, Cost, MaxWeightSemiring, MinCostSemiring, Nat, Semiring,
 };
 use cq_structures::codec::{encode_option_ref, Decode, DecodeError, Encode, Reader};
 use cq_structures::{
     core_of, count_homomorphisms_bruteforce, embedding_exists, homomorphism_exists, Element,
-    Structure, StructureIndex, TupleWeights,
+    IndexState, Structure, StructureIndex, TupleWeights,
 };
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -80,10 +79,13 @@ const MAX_ANSWER_PROGRAMS: usize = 4;
 /// sound supersets across in-place deltas *within* an epoch but must be
 /// recompiled when a delta grows a domain and bumps the epoch).
 ///
-/// Decision programs compile the **evaluated** structure with the decision
-/// certificates; counting programs compile the **original** with the
-/// counting certificates — counting is not core-invariant, so the two
-/// families never share a program even when both are warm.
+/// There is one slot per program kind (tree, forest, search) per structure
+/// [`Role`]: decision programs compile the **evaluated** structure with
+/// the decision certificates, counting programs (counts, aggregates) the
+/// **original** with the counting certificates — counting is not
+/// core-invariant.  When the two coincide (the query is its own core, or
+/// core preprocessing is off) both roles resolve to the decision slots
+/// ([`PreparedQuery::role`]), so each program compiles once per index.
 ///
 /// The two `*_retained` slots carry the incremental DP join tables of
 /// [`TreeDpProgram::eval_retained`]: after [`crate::Engine::apply_delta`]
@@ -98,14 +100,10 @@ const MAX_ANSWER_PROGRAMS: usize = 4;
 /// falls back to a plain stateless pass.
 #[derive(Default)]
 struct IndexKernels {
-    tree_decide: OnceLock<TreeDpProgram>,
+    /// Indexed by [`Role`]; the counting entry stays empty when the
+    /// counting role resolves to the decision slots.
+    roles: [RolePrograms; 2],
     stair: OnceLock<StairProgram>,
-    forest_decide: OnceLock<ForestProgram>,
-    search_fail_first: OnceLock<SearchProgram>,
-    search_plain: OnceLock<SearchProgram>,
-    tree_count: OnceLock<TreeDpProgram>,
-    forest_count: OnceLock<ForestProgram>,
-    search_original: OnceLock<SearchProgram>,
     /// Decision stays on [`bool`] deliberately: `CheckedNat` would make
     /// deltas patchable (⊖ exists), but it prices every *recomputed* bag
     /// at full counting arithmetic — measurably slower than Bool's
@@ -122,36 +120,44 @@ struct IndexKernels {
     answers: Mutex<Vec<(Vec<Element>, Arc<AnswerProgram>)>>,
 }
 
+/// The structure a program compiles: decision runs on the evaluated
+/// structure (the core) with the decision certificates, counting,
+/// aggregates and answers on the original with the counting certificates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Decision = 0,
+    Counting = 1,
+}
+
+/// One role's compiled programs, one slot per kind.
+#[derive(Default)]
+struct RolePrograms {
+    tree: OnceLock<TreeDpProgram>,
+    forest: OnceLock<ForestProgram>,
+    /// Compiled under the element order of its first caller (`true` =
+    /// fail-first); a caller asking for the other order compiles an
+    /// uncached program.
+    search: OnceLock<(bool, SearchProgram)>,
+}
+
+impl RolePrograms {
+    /// Which of the tree, forest and search slots hold a program.
+    fn filled(&self) -> [bool; 3] {
+        [
+            self.tree.get().is_some(),
+            self.forest.get().is_some(),
+            self.search.get().is_some(),
+        ]
+    }
+}
+
 impl std::fmt::Debug for IndexKernels {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexKernels")
-            .field("tree_decide", &self.tree_decide.get().is_some())
+            .field("decision [tree, forest, search]", &self.roles[0].filled())
+            .field("counting [tree, forest, search]", &self.roles[1].filled())
             .field("stair", &self.stair.get().is_some())
-            .field("forest_decide", &self.forest_decide.get().is_some())
-            .field("search_fail_first", &self.search_fail_first.get().is_some())
-            .field("search_plain", &self.search_plain.get().is_some())
-            .field("tree_count", &self.tree_count.get().is_some())
-            .field("forest_count", &self.forest_count.get().is_some())
-            .field("search_original", &self.search_original.get().is_some())
-            .field(
-                "tree_decide_retained",
-                &self
-                    .tree_decide_retained
-                    .try_lock()
-                    .is_ok_and(|s| s.is_some()),
-            )
-            .field(
-                "tree_count_retained",
-                &self
-                    .tree_count_retained
-                    .try_lock()
-                    .is_ok_and(|s| s.is_some()),
-            )
-            .field(
-                "answers",
-                &self.answers.try_lock().map(|a| a.len()).unwrap_or(0),
-            )
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -182,6 +188,9 @@ pub struct PreparedQuery {
     original: Structure,
     evaluated: Structure,
     core_applied: bool,
+    /// `evaluated == original`: the counting role evaluates the decision
+    /// structure with the decision certificates (derived, not persisted).
+    roles_coincide: bool,
     gaifman: Graph,
     analysis: StructuralAnalysis,
     degree_hint: Degree,
@@ -204,10 +213,13 @@ pub struct PreparedQuery {
     /// most-recently-used entries at the back — an in-place delta that grows
     /// a position domain bumps the epoch and transparently recompiles, while
     /// same-epoch deltas keep every warm program (their baked domains remain
-    /// sound supersets).  A runtime cache of compilation work, never
-    /// persisted (a warm-started plan recompiles on first evaluation,
-    /// exactly like a cold one).
-    kernels: Mutex<Vec<(KernelCacheKey, Arc<IndexKernels>)>>,
+    /// sound supersets).  Each entry also holds the latest index state it
+    /// served: baked domains are supersets only along one branch of
+    /// deletions, so a state that does not descend from it (a clone that
+    /// took other deltas) recompiles.  A runtime cache of compilation work,
+    /// never persisted (a warm-started plan recompiles on first
+    /// evaluation, exactly like a cold one).
+    kernels: Mutex<Vec<(KernelCacheKey, IndexState, Arc<IndexKernels>)>>,
 }
 
 /// Cache key for [`PreparedQuery`]'s per-index program bundles: the index's
@@ -241,6 +253,7 @@ impl PreparedQuery {
         let degree_hint = Degree::of_widths(analysis.widths, config);
         PreparedQuery {
             fingerprint,
+            roles_coincide: evaluated == *a,
             original: a.clone(),
             evaluated,
             core_applied: config.use_core,
@@ -326,13 +339,6 @@ impl PreparedQuery {
             .get_or_init(|| self.analysis.path_decomposition.normalize_staircase())
     }
 
-    /// Whether the counting path can reuse the decision certificates: true
-    /// exactly when the evaluated structure is the original structure
-    /// (core preprocessing off, or the query is its own core).
-    fn counting_reuses_decision_analysis(&self) -> bool {
-        self.evaluated == self.original
-    }
-
     /// The structural analysis of the **original** query — the certificates
     /// the counting tiers consume.
     ///
@@ -357,7 +363,7 @@ impl PreparedQuery {
     /// plan, and never when the decision analysis is reused) — the engine
     /// uses the flag to attribute the width-DP delta to its [`crate::PrepStats`].
     pub(crate) fn counting_analysis_tracked(&self) -> (&StructuralAnalysis, bool) {
-        if self.counting_reuses_decision_analysis() {
+        if self.roles_coincide {
             return (&self.analysis, false);
         }
         let mut computed = false;
@@ -379,48 +385,94 @@ impl PreparedQuery {
     /// domain epoch**, created on first sight and LRU-retained up to
     /// [`MAX_KERNEL_BUNDLES`] distinct `(index, epoch)` pairs.  A bundle
     /// compiled before a domain-growing delta keys under the old epoch and
-    /// ages out of the LRU naturally.  A poisoned lock only means a panic
-    /// elsewhere while the list was held; the cached programs are still
-    /// valid.
+    /// ages out of the LRU naturally; one last used at a state the index
+    /// does not descend from ([`StructureIndex::descends_from`]) is
+    /// replaced.  A poisoned lock only means a panic elsewhere while the
+    /// list was held; the cached programs are still valid.
     fn kernels_for(&self, index: &StructureIndex) -> Arc<IndexKernels> {
         let key = (index.id(), index.domain_epoch());
+        let state = index.state();
         let mut cache = self
             .kernels
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-            let entry = cache.remove(pos);
-            let bundle = Arc::clone(&entry.1);
-            cache.push(entry); // most-recently-used at the back
-            return bundle;
+        if let Some(pos) = cache.iter().position(|(k, _, _)| *k == key) {
+            let (_, served, bundle) = cache.remove(pos);
+            if served == state || index.descends_from(served) {
+                cache.push((key, state, Arc::clone(&bundle))); // most-recently-used at the back
+                return bundle;
+            }
         }
         let bundle = Arc::new(IndexKernels::default());
         if cache.len() >= MAX_KERNEL_BUNDLES {
             cache.remove(0); // least-recently-used at the front
         }
-        cache.push((key, Arc::clone(&bundle)));
+        cache.push((key, state, Arc::clone(&bundle)));
         bundle
     }
 
-    /// Decide through the kernel forest evaluation (tree-depth tier),
-    /// compiling the [`ForestProgram`] of the evaluated structure on first
-    /// use against this index and reusing it afterwards.
-    pub fn decide_via_forest(&self, index: &StructureIndex) -> ForestRun {
-        self.kernels_for(index)
-            .forest_decide
-            .get_or_init(|| {
-                ForestProgram::compile(&self.evaluated, index, &self.analysis.elimination_forest)
-            })
-            .decide(index)
+    /// `role`'s slots in one bundle, with the structure and certificates
+    /// its programs compile from.  The counting role resolves to the
+    /// decision slots whenever the two roles compile the same structure
+    /// with the same certificates.
+    fn role<'k>(
+        &self,
+        kernels: &'k IndexKernels,
+        role: Role,
+    ) -> (&'k RolePrograms, &Structure, &StructuralAnalysis) {
+        match role {
+            Role::Counting if !self.roles_coincide => {
+                (&kernels.roles[1], &self.original, self.counting_analysis())
+            }
+            _ => (&kernels.roles[0], &self.evaluated, &self.analysis),
+        }
     }
 
-    /// Decide through the kernel staircase sweep (pathwidth tier),
-    /// compiling the [`StairProgram`] on first use against this index.
-    pub fn decide_via_staircase(&self, index: &StructureIndex) -> PathDpReport {
-        self.kernels_for(index)
-            .stair
-            .get_or_init(|| StairProgram::compile(&self.evaluated, index, self.staircase()))
-            .run(index)
+    /// `role`'s [`TreeDpProgram`] in `kernels`, compiled on first use.
+    fn tree_program<'k>(
+        &self,
+        kernels: &'k IndexKernels,
+        role: Role,
+        index: &StructureIndex,
+    ) -> &'k TreeDpProgram {
+        let (slots, a, analysis) = self.role(kernels, role);
+        slots
+            .tree
+            .get_or_init(|| TreeDpProgram::compile(a, index, &analysis.tree_decomposition))
+    }
+
+    /// `role`'s [`ForestProgram`] in `kernels`, compiled on first use.
+    fn forest_program<'k>(
+        &self,
+        kernels: &'k IndexKernels,
+        role: Role,
+        index: &StructureIndex,
+    ) -> &'k ForestProgram {
+        let (slots, a, analysis) = self.role(kernels, role);
+        slots
+            .forest
+            .get_or_init(|| ForestProgram::compile(a, index, &analysis.elimination_forest))
+    }
+
+    /// Run `f` on `role`'s [`SearchProgram`] in the requested element
+    /// order: the cached one when its order matches (compiled on first
+    /// use), an uncached compilation otherwise.
+    fn with_search<R>(
+        &self,
+        kernels: &IndexKernels,
+        role: Role,
+        index: &StructureIndex,
+        fail_first: bool,
+        f: impl FnOnce(&SearchProgram) -> R,
+    ) -> R {
+        let (slots, a, _) = self.role(kernels, role);
+        let compile = || SearchProgram::compile(a, index, fail_first);
+        let (order, program) = slots.search.get_or_init(|| (fail_first, compile()));
+        if *order == fail_first {
+            f(program)
+        } else {
+            f(&compile())
+        }
     }
 
     /// Decide through the kernel tree DP (treewidth tier), compiling the
@@ -436,9 +488,7 @@ impl PreparedQuery {
     /// retained state, gets a plain stateless pass.
     pub fn decide_via_tree(&self, index: &StructureIndex) -> TreeDpRun {
         let kernels = self.kernels_for(index);
-        let program = kernels.tree_decide.get_or_init(|| {
-            TreeDpProgram::compile(&self.evaluated, index, &self.analysis.tree_decomposition)
-        });
+        let program = self.tree_program(&kernels, Role::Decision, index);
         if let Some(mut state) = retained_slot(&kernels.tree_decide_retained, index) {
             let (exists, stats) = program.eval_retained::<BoolSemiring>(index, &mut state);
             return TreeDpRun {
@@ -450,42 +500,6 @@ impl PreparedQuery {
         program.decide(index)
     }
 
-    /// Search for a witness through the kernel whole-query program (the
-    /// structure-agnostic fallback), compiling one [`SearchProgram`] per
-    /// ordering strategy on first use against this index.
-    pub fn search(
-        &self,
-        index: &StructureIndex,
-        fail_first: bool,
-    ) -> (Option<Vec<Element>>, KernelSearchStats) {
-        let kernels = self.kernels_for(index);
-        let slot = if fail_first {
-            &kernels.search_fail_first
-        } else {
-            &kernels.search_plain
-        };
-        slot.get_or_init(|| SearchProgram::compile(&self.evaluated, index, fail_first))
-            .run(index)
-    }
-
-    /// Count through the kernel forest sum–product (Theorem 6.1 (3)) — the
-    /// [`CountMethod::ForestSumProduct`] reference, never dispatched by the
-    /// engine — compiling the [`ForestProgram`] of the **original**
-    /// structure with the counting certificates on first use against this
-    /// index.
-    pub fn count_via_forest(&self, index: &StructureIndex) -> ForestRun {
-        self.kernels_for(index)
-            .forest_count
-            .get_or_init(|| {
-                ForestProgram::compile(
-                    &self.original,
-                    index,
-                    &self.counting_analysis().elimination_forest,
-                )
-            })
-            .count(index)
-    }
-
     /// Count through the kernel tree DP, compiling the [`TreeDpProgram`]
     /// of the **original** structure with the counting certificates on
     /// first use against this index.
@@ -495,13 +509,7 @@ impl PreparedQuery {
     /// patches group sums by ⊖/⊕ instead of re-enumerating the bag).
     pub fn count_via_tree(&self, index: &StructureIndex) -> TreeDpRun {
         let kernels = self.kernels_for(index);
-        let program = kernels.tree_count.get_or_init(|| {
-            TreeDpProgram::compile(
-                &self.original,
-                index,
-                &self.counting_analysis().tree_decomposition,
-            )
-        });
+        let program = self.tree_program(&kernels, Role::Counting, index);
         if let Some(mut state) = retained_slot(&kernels.tree_count_retained, index) {
             let (count, stats) = program.eval_retained::<CheckedNatSemiring>(index, &mut state);
             return TreeDpRun {
@@ -548,56 +556,33 @@ impl PreparedQuery {
         program
     }
 
-    /// Weighted ⊕-aggregate (min-cost, max-weight, …) through the kernel
-    /// tree DP.  Aggregates, like counts, are **not** core-invariant, so
-    /// this reuses the semiring-agnostic `tree_count` program — compiled
-    /// from the **original** structure with the counting certificates —
-    /// and only the weights change per call.
-    pub fn aggregate_via_tree<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        weights: &TupleWeights,
-    ) -> S::Value {
-        self.kernels_for(index)
-            .tree_count
-            .get_or_init(|| {
-                TreeDpProgram::compile(
-                    &self.original,
-                    index,
-                    &self.counting_analysis().tree_decomposition,
-                )
-            })
-            .eval::<S>(index, Some(weights))
-            .0
-    }
-
-    /// Weighted ⊕-aggregate through an exhaustive kernel search over the
-    /// **original** structure — the structure-agnostic fallback tier.  The
-    /// decision `search` slots compile the evaluated (core) structure and
-    /// cannot be reused here, so this keeps its own compiled program slot.
-    pub fn aggregate_via_search<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        weights: &TupleWeights,
-    ) -> (S::Value, KernelSearchStats) {
-        self.kernels_for(index)
-            .search_original
-            .get_or_init(|| SearchProgram::compile(&self.original, index, true))
-            .aggregate::<S>(index, Some(weights))
-    }
-
     /// Decide through one decision tier's kernel program on the
-    /// **evaluated** structure; `fail_first` picks the
-    /// [`SolverChoice::Backtracking`] search order and is ignored by the
-    /// structural tiers.  The caller picks the tier
-    /// ([`SolverChoice::admits`]); every tier is correct on every query,
-    /// the licence only bounds its cost.
+    /// **evaluated** structure, compiled on first use against this index
+    /// and reused afterwards: the forest recursion (tree depth), the
+    /// staircase sweep (pathwidth), the retained tree DP
+    /// ([`Self::decide_via_tree`]) or the whole-query search, whose element
+    /// order `fail_first` picks (ignored by the structural tiers).  The
+    /// caller picks the tier ([`SolverChoice::admits`]); every tier is
+    /// correct on every query, the licence only bounds its cost.
     pub fn decide(&self, choice: SolverChoice, index: &StructureIndex, fail_first: bool) -> bool {
+        if choice == SolverChoice::TreeDecomposition {
+            return self.decide_via_tree(index).exists;
+        }
+        let kernels = self.kernels_for(index);
         match choice {
-            SolverChoice::TreeDepth => self.decide_via_forest(index).exists,
-            SolverChoice::PathDecomposition => self.decide_via_staircase(index).exists,
-            SolverChoice::TreeDecomposition => self.decide_via_tree(index).exists,
-            SolverChoice::Backtracking => self.search(index, fail_first).0.is_some(),
+            SolverChoice::TreeDepth => {
+                let program = self.forest_program(&kernels, Role::Decision, index);
+                program.decide(index).exists
+            }
+            SolverChoice::PathDecomposition => {
+                let program = kernels.stair.get_or_init(|| {
+                    StairProgram::compile(&self.evaluated, index, self.staircase())
+                });
+                program.run(index).exists
+            }
+            _ => self.with_search(&kernels, Role::Decision, index, fail_first, |program| {
+                program.run(index).0.is_some()
+            }),
         }
     }
 
@@ -605,7 +590,10 @@ impl PreparedQuery {
     /// counting tier.  [`CountMethod::BruteForce`] is deliberately the
     /// un-indexed reference enumeration over `database` (it doubles as the
     /// oracle of the counting differential tests); the other tiers run
-    /// their compiled kernel programs against `index`.
+    /// the counting role's compiled programs against `index`: the retained
+    /// tree DP ([`Self::count_via_tree`]) or the forest sum–product
+    /// (Theorem 6.1 (3)), the [`CountMethod::ForestSumProduct`] reference
+    /// the engine never dispatches.
     pub fn count(
         &self,
         method: CountMethod,
@@ -613,7 +601,11 @@ impl PreparedQuery {
         index: &StructureIndex,
     ) -> CountOutcome {
         match method {
-            CountMethod::ForestSumProduct => self.count_via_forest(index).count.into(),
+            CountMethod::ForestSumProduct => {
+                let kernels = self.kernels_for(index);
+                let program = self.forest_program(&kernels, Role::Counting, index);
+                program.count(index).count.into()
+            }
             CountMethod::TreeDecompositionDp => self.count_via_tree(index).count.into(),
             CountMethod::BruteForce => {
                 CountOutcome::Exact(count_homomorphisms_bruteforce(&self.original, database))
@@ -622,12 +614,13 @@ impl PreparedQuery {
     }
 
     /// Optimize `objective` over all homomorphisms from the **original**
-    /// structure through one counting tier: the tree DP
-    /// ([`Self::aggregate_via_tree`]), the exhaustive search
-    /// ([`Self::aggregate_via_search`]) for [`CountMethod::BruteForce`], or
-    /// the uncached weighted forest recursion — the Theorem 6.1 (3)
-    /// reference — for [`CountMethod::ForestSumProduct`].  `weights` must
-    /// align with the index's database.
+    /// structure through one counting tier, running the counting role's
+    /// compiled programs — the same ones counts use; a compiled program is
+    /// semiring-agnostic, only the weights change per call: the tree DP,
+    /// the exhaustive fail-first search for [`CountMethod::BruteForce`], or
+    /// the forest recursion — the Theorem 6.1 (3) reference — for
+    /// [`CountMethod::ForestSumProduct`].  `weights` must align with the
+    /// index's database.
     pub fn aggregate(
         &self,
         method: CountMethod,
@@ -641,15 +634,21 @@ impl PreparedQuery {
             index: &StructureIndex,
             weights: &TupleWeights,
         ) -> Cost {
+            let kernels = plan.kernels_for(index);
             match method {
-                CountMethod::ForestSumProduct => aggregate_with_forest_indexed::<S>(
-                    &plan.original,
-                    index,
-                    &plan.counting_analysis().elimination_forest,
-                    weights,
-                ),
-                CountMethod::TreeDecompositionDp => plan.aggregate_via_tree::<S>(index, weights),
-                CountMethod::BruteForce => plan.aggregate_via_search::<S>(index, weights).0,
+                CountMethod::ForestSumProduct => plan
+                    .forest_program(&kernels, Role::Counting, index)
+                    .eval::<S>(index, Some(weights), &mut 0),
+                CountMethod::TreeDecompositionDp => {
+                    plan.tree_program(&kernels, Role::Counting, index)
+                        .eval::<S>(index, Some(weights))
+                        .0
+                }
+                CountMethod::BruteForce => {
+                    plan.with_search(&kernels, Role::Counting, index, true, |program| {
+                        program.aggregate::<S>(index, Some(weights)).0
+                    })
+                }
             }
         }
         match objective {
@@ -756,10 +755,14 @@ impl Decode for PreparedQuery {
                 None => OnceLock::new(),
             }
         }
+        let fingerprint = u64::decode(r)?;
+        let original = Structure::decode(r)?;
+        let evaluated = Structure::decode(r)?;
         Ok(PreparedQuery {
-            fingerprint: u64::decode(r)?,
-            original: Structure::decode(r)?,
-            evaluated: Structure::decode(r)?,
+            fingerprint,
+            roles_coincide: evaluated == original,
+            original,
+            evaluated,
             core_applied: bool::decode(r)?,
             gaifman: Graph::decode(r)?,
             analysis: StructuralAnalysis::decode(r)?,
@@ -843,7 +846,7 @@ impl PreparedQuery {
             }
         }
         match self.counting.get() {
-            Some(_) if self.evaluated == self.original => {
+            Some(_) if self.roles_coincide => {
                 // When the evaluated structure *is* the original the plan
                 // reuses the decision certificates and never populates this
                 // slot; a populated slot is a non-canonical (tampered)
@@ -1006,19 +1009,17 @@ mod tests {
         let a = families::star(3);
         let q = PreparedQuery::prepare(&a, &EngineConfig::default());
         let warm = |i: &StructureIndex| {
-            q.decide_via_tree(i);
-            q.decide_via_forest(i);
-            q.decide_via_staircase(i);
-            q.search(i, true);
-            q.search(i, false);
-            q.count_via_tree(i);
-            q.count_via_forest(i);
+            for choice in SolverChoice::STANDARD {
+                q.decide(choice, i, true);
+            }
+            q.count(CountMethod::TreeDecompositionDp, i.structure(), i);
+            q.count(CountMethod::ForestSumProduct, i.structure(), i);
         };
         let bundle_of = |i: &StructureIndex| -> Arc<IndexKernels> {
             let cache = q.kernels.lock().unwrap();
-            let (_, bundle) = cache
+            let (_, _, bundle) = cache
                 .iter()
-                .find(|(key, _)| key.0 == i.id())
+                .find(|(key, _, _)| key.0 == i.id())
                 .expect("bundle cached");
             Arc::clone(bundle)
         };
@@ -1028,7 +1029,7 @@ mod tests {
         // Correctness of the cached programs.
         assert!(q.decide_via_tree(&index).exists);
         assert_eq!(
-            q.count_via_forest(&index).count,
+            q.count(CountMethod::ForestSumProduct, &k3, &index),
             cq_structures::count_homomorphisms_bruteforce(&a, &k3)
         );
         // Weighted aggregates reuse the counting programs (same bundle,
@@ -1036,27 +1037,16 @@ mod tests {
         // cost the number of query tuples, on every tier.
         let weights = TupleWeights::uniform(&k3, 1);
         let expected_cost = Some(a.tuple_count() as u64);
-        assert_eq!(
-            q.aggregate_via_tree::<cq_solver::MinCostSemiring>(&index, &weights),
-            expected_cost
-        );
-        assert_eq!(
-            q.aggregate_via_search::<cq_solver::MinCostSemiring>(&index, &weights)
-                .0,
-            expected_cost
-        );
+        for method in [CountMethod::TreeDecompositionDp, CountMethod::BruteForce] {
+            let cost = q.aggregate(method, &index, &weights, AggregateObjective::MinCost);
+            assert_eq!(cost, expected_cost, "{method:?}");
+        }
         // One fully populated bundle for this index; `OnceLock` slots can
         // only initialize once, so bundle identity across repeat traffic
         // proves no program was recompiled.
         let bundle = bundle_of(&index);
-        assert!(bundle.tree_decide.get().is_some());
         assert!(bundle.stair.get().is_some());
-        assert!(bundle.forest_decide.get().is_some());
-        assert!(bundle.search_fail_first.get().is_some());
-        assert!(bundle.search_plain.get().is_some());
-        assert!(bundle.tree_count.get().is_some());
-        assert!(bundle.forest_count.get().is_some());
-        assert!(bundle.search_original.get().is_some());
+        assert!(bundle.roles.iter().all(|r| r.filled() == [true; 3]));
         warm(&index);
         assert!(Arc::ptr_eq(&bundle, &bundle_of(&index)));
         // A different database index gets its own bundle; both stay warm
@@ -1083,9 +1073,50 @@ mod tests {
             .lock()
             .unwrap()
             .iter()
-            .all(|(key, _)| key.0 != index.id()));
+            .all(|(key, _, _)| key.0 != index.id()));
         assert!(q.decide_via_tree(&index).exists);
         assert!(!Arc::ptr_eq(&bundle, &bundle_of(&index)));
+    }
+
+    #[test]
+    fn self_core_queries_share_one_program_per_kind_across_roles() {
+        use cq_structures::StructureIndex;
+        let target = families::clique(3);
+        let index = StructureIndex::new(&target);
+        let weights = TupleWeights::uniform(&target, 1);
+        // An odd cycle is its own core: decide, count and aggregate run the
+        // decision slots and the counting slots stay empty.  A star cores
+        // down to an edge, so each role keeps its own programs.  Counts
+        // describe the original either way.
+        for (a, shared) in [(families::cycle(5), true), (families::star(3), false)] {
+            let q = PreparedQuery::prepare(&a, &EngineConfig::default());
+            assert_eq!(q.evaluated() == &a, shared);
+            for choice in SolverChoice::STANDARD {
+                q.decide(choice, &index, false);
+            }
+            let expected = cq_structures::count_homomorphisms_bruteforce(&a, &target);
+            for method in [
+                CountMethod::TreeDecompositionDp,
+                CountMethod::ForestSumProduct,
+            ] {
+                assert_eq!(q.count(method, &target, &index), expected);
+            }
+            for method in [CountMethod::TreeDecompositionDp, CountMethod::BruteForce] {
+                q.aggregate(method, &index, &weights, AggregateObjective::MinCost);
+            }
+            let bundle = q.kernels_for(&index);
+            assert_eq!(bundle.roles[0].filled(), [true; 3]);
+            assert_eq!(bundle.roles[1].filled(), [!shared; 3]);
+            let decision = q.tree_program(&bundle, Role::Decision, &index);
+            let counting = q.tree_program(&bundle, Role::Counting, &index);
+            assert_eq!(std::ptr::eq(decision, counting), shared);
+            // The search slot keeps the order it was first compiled in; the
+            // other order is compiled per call, with the same answer.
+            let cached = bundle.roles[0].search.get().map(|(order, _)| *order);
+            assert_eq!(cached, Some(false));
+            let backtrack = |order| q.decide(SolverChoice::Backtracking, &index, order);
+            assert_eq!(backtrack(true), backtrack(false));
+        }
     }
 
     #[test]
@@ -1112,9 +1143,9 @@ mod tests {
         let mut index = StructureIndex::new(&db);
         let bundle_of = |i: &StructureIndex| -> Arc<IndexKernels> {
             let cache = q.kernels.lock().unwrap();
-            let (_, bundle) = cache
+            let (_, _, bundle) = cache
                 .iter()
-                .find(|(key, _)| *key == (i.id(), i.domain_epoch()))
+                .find(|(key, _, _)| *key == (i.id(), i.domain_epoch()))
                 .expect("bundle cached under the current (id, epoch) key");
             Arc::clone(bundle)
         };

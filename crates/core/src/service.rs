@@ -6,8 +6,8 @@
 //! layer: [`Engine::prepare`] returns an [`Arc<PreparedQuery>`] — served
 //! from the cache when an equivalent query was prepared before —
 //! [`Engine::solve`] evaluates one instance through it, and
-//! [`Engine::solve_batch`] / [`Engine::solve_batch_instances`] evaluate a
-//! whole workload across a scoped thread pool
+//! [`Engine::batch`] — the one batch form — fans any single-operation
+//! method out over a whole workload across a scoped thread pool
 //! ([`EngineConfig::workers`]), preparing each distinct query exactly once.
 //!
 //! Cache correctness: entries are keyed by the isomorphism-invariant
@@ -28,8 +28,8 @@
 //!   the winner's cached plan, and each distinct fingerprint is prepared
 //!   exactly once (the concurrency stress tests assert this through
 //!   [`Engine::prep_stats`]);
-//! * the batch APIs fan instances out over `std::thread::scope` workers and
-//!   reassemble results **in input order** — reports are bit-identical to
+//! * [`Engine::batch`] fans items out over `std::thread::scope` workers and
+//!   reassembles results **in input order** — reports are bit-identical to
 //!   the sequential path for every worker count;
 //! * the per-query exponential work performed by worker threads is
 //!   aggregated into per-engine counters ([`PrepStats`]) — the thread-local
@@ -45,9 +45,10 @@ use crate::prepared::PreparedQuery;
 use crate::Degree;
 use cq_decomp::WidthProfile;
 use cq_logic::canonical::query_fingerprint;
+use cq_solver::kernel::AnswerProgram;
 use cq_structures::{
-    answers_bruteforce, structure_hash, AppliedDelta, ConjunctiveQuery, DeltaBatch, Structure,
-    StructureError, StructureIndex, TupleWeights,
+    answers_bruteforce, structure_hash, AppliedDelta, ConjunctiveQuery, DeltaBatch, Element,
+    Structure, StructureError, StructureIndex, TupleWeights,
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -73,7 +74,7 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 pub const DEFAULT_INDEX_CACHE_CAPACITY: usize = 64;
 
 /// Handle to a query registered with an [`Engine`] (see
-/// [`Engine::register`]); the batch API refers to queries through it.
+/// [`Engine::register`]); [`Engine::prepared`] resolves it to its plan.
 ///
 /// Handles carry the identity of the engine that issued them: using a
 /// handle with a different engine panics with a clear message instead of
@@ -109,7 +110,7 @@ pub struct CacheStats {
 /// [`cq_structures::core_computation_count`]) is thread-local; the engine
 /// measures each preparation's delta on the thread that ran it and folds it
 /// in here, so the one-preparation-per-query invariants remain assertable
-/// when the batch APIs fan out to workers.
+/// when [`Engine::batch`] fans out to workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrepStats {
     /// Plans prepared (equals the number of cache misses that ran to
@@ -525,6 +526,22 @@ impl DeltaReport {
     }
 }
 
+/// How one answers request evaluates (see [`Engine::answer_route`]).
+struct AnswerRoute {
+    /// Counting widths of the original query.
+    widths: WidthProfile,
+    free_count: usize,
+    eval: AnswerEval,
+}
+
+enum AnswerEval {
+    /// Within the treewidth threshold: the compiled answer program and
+    /// the database's cached index.
+    Kernel(Arc<AnswerProgram>, Arc<StructureIndex>),
+    /// Beyond it: the whole brute-force projection, sorted.
+    BruteForce(Vec<Vec<Element>>),
+}
+
 struct IndexSlot {
     hash: u64,
     /// The index shares its database (`Arc<Structure>` inside
@@ -748,81 +765,19 @@ impl InstanceIndexCache {
     }
 
     /// Apply a [`DeltaBatch`] to the cached index of `database` **in
-    /// place** — no index rebuild, no structure copy on the usual path.
-    ///
-    /// The pre-delta index is taken *out* of the alias table and its shard
-    /// (so the mutation typically owns the only `Arc` and
-    /// [`Arc::try_unwrap`] succeeds without cloning), mutated through
-    /// [`StructureIndex::apply_delta`], and re-filed under its original
-    /// shard hash with a fresh token alias.  The stale shard hash is sound:
-    /// hash lookups confirm by structural equality, so it can only cost a
-    /// miss — while all delta-path traffic finds the index through the
-    /// token of its post-delta structure in `O(1)`.
-    ///
-    /// A database never seen before is indexed first (that build is the one
-    /// exception to "no rebuild" — there is nothing to maintain yet).
-    /// The batch is validated before any lookup, so a refused batch leaves
-    /// the cache exactly as it was and never copies a shared index.
+    /// place**: look the index up as any dispatch would (indexing a
+    /// database never seen before — the one exception to "no rebuild",
+    /// there is nothing to maintain yet), then hand it to
+    /// [`Self::apply_delta_owned`].  The batch is validated before any
+    /// lookup, so a refused batch leaves the cache exactly as it was and
+    /// never copies a shared index.
     fn apply_delta(
         &self,
         database: &Structure,
         batch: &DeltaBatch,
     ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
         batch.validate(database)?;
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        if self.total_capacity == 0 {
-            // Caching disabled: mutate a throwaway index so the answer
-            // semantics match the cached path.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let mut index = StructureIndex::new(database);
-            let applied = index.apply_delta(batch).expect("batch validated above");
-            return Ok((Arc::new(index), applied));
-        }
-        let token = database.content_token();
-        let (hash, arc) = match self.alias_take(token) {
-            Some((hash, index)) => {
-                // Also unhook the shard's Arc so ours is the last one.
-                let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-                let mut shard = shard.lock().expect("index shard lock");
-                if let Some(pos) = shard
-                    .slots
-                    .iter()
-                    .position(|s| Arc::ptr_eq(&s.index, &index))
-                {
-                    shard.slots.swap_remove(pos);
-                }
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                (hash, index)
-            }
-            None => {
-                let hash = self.hashed(database);
-                let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-                let mut guard = shard.lock().expect("index shard lock");
-                if let Some(pos) = guard
-                    .slots
-                    .iter()
-                    .position(|s| s.hash == hash && s.index.structure() == database)
-                {
-                    let slot = guard.slots.swap_remove(pos);
-                    drop(guard);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    (hash, slot.index)
-                } else {
-                    drop(guard);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    (hash, Arc::new(StructureIndex::new(database)))
-                }
-            }
-        };
-        // Concurrent holders of the old Arc (in-flight evaluations, an
-        // earlier DeltaReport) keep their pre-delta snapshot; the clone
-        // shares the index identity, so warm programs stay keyed right.
-        let mut owned = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-        let applied = owned.apply_delta(batch).expect("batch validated above");
-        let index = self.insert_slot(hash, Arc::new(owned), None);
-        self.alias_record(index.structure().content_token(), hash, &index);
-        Ok((index, applied))
+        self.apply_delta_owned(self.get(database), batch)
     }
 
     /// The chained form of [`Self::apply_delta`]: the caller hands back the
@@ -849,58 +804,31 @@ impl InstanceIndexCache {
         batch.validate(caller.structure())?;
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let token = caller.structure().content_token();
-        let (hash, arc) = if self.total_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            (None, caller)
+        let (hash, found) = if self.total_capacity == 0 {
+            (None, false)
         } else {
-            match self.alias_take(token) {
-                Some((hash, index)) => {
-                    // Unhook the shard's Arc, then drop the caller's: the
-                    // alias invariant says `index` holds exactly the content
-                    // `token` names, so it and `caller` are interchangeable
-                    // (normally the same allocation).
-                    let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-                    let mut shard = shard.lock().expect("index shard lock");
-                    if let Some(pos) = shard
-                        .slots
-                        .iter()
-                        .position(|s| Arc::ptr_eq(&s.index, &index))
-                    {
-                        shard.slots.swap_remove(pos);
-                    }
-                    drop(shard);
-                    drop(caller);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    (Some(hash), index)
-                }
-                None => {
-                    // Alias evicted (or the report came from another
-                    // engine): fall back to the hash, unhooking a matching
-                    // shard slot so the caller's Arc is the last one.
-                    let hash = self.hashed(caller.structure());
-                    let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-                    let mut guard = shard.lock().expect("index shard lock");
-                    let slot = guard
-                        .slots
-                        .iter()
-                        .position(|s| s.hash == hash && s.index.structure() == caller.structure())
-                        .map(|pos| guard.slots.swap_remove(pos));
-                    drop(guard);
-                    match slot {
-                        Some(slot) => {
-                            drop(caller);
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            (Some(hash), slot.index)
-                        }
-                        None => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            (Some(hash), caller)
-                        }
-                    }
-                }
-            }
+            // Retire the pre-delta content state: take its alias (hashing
+            // only when the alias was evicted) and unhook the shard slot
+            // holding it, so the caller's Arc is normally the last one.
+            let hash = match self.alias_take(token) {
+                Some((hash, _)) => hash,
+                None => self.hashed(caller.structure()),
+            };
+            let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
+            let mut guard = shard.lock().expect("index shard lock");
+            let slot = guard
+                .slots
+                .iter()
+                .position(|s| {
+                    Arc::ptr_eq(&s.index, &caller)
+                        || (s.hash == hash && s.index.structure() == caller.structure())
+                })
+                .map(|pos| guard.slots.swap_remove(pos));
+            (Some(hash), slot.is_some())
         };
-        let mut owned = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
+        let counter = if found { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let mut owned = Arc::try_unwrap(caller).unwrap_or_else(|shared| (*shared).clone());
         let applied = owned.apply_delta(batch).expect("batch validated above");
         let index = Arc::new(owned);
         let index = match hash {
@@ -962,7 +890,8 @@ fn shard_capacity(total: usize, count: usize, index: usize) -> usize {
 }
 
 /// The prepared-query evaluation engine: decision tier order + sharded
-/// plan cache + instance-index cache + parallel batch API.  Decision
+/// plan cache + instance-index cache + one parallel batch form
+/// ([`Engine::batch`]) over the single-operation methods.  Decision
 /// dispatches to the first tier of [`SolverChoice::STANDARD`] (minus any
 /// [`Engine::without_tier`] ablations) that admits the core's widths;
 /// counting and aggregates dispatch through [`CountMethod::for_widths`] on
@@ -1073,7 +1002,7 @@ impl Engine {
         self.cache.shards.len()
     }
 
-    /// The worker count the batch APIs will fan out to:
+    /// The worker count [`Engine::batch`] fans out to:
     /// [`EngineConfig::workers`], with `0` resolved to the machine's
     /// available parallelism.
     pub fn effective_workers(&self) -> usize {
@@ -1193,9 +1122,11 @@ impl Engine {
         analysis.widths
     }
 
-    /// Register a query for batch evaluation, returning its handle.  Goes
-    /// through the plan cache, so registering the same (or an equivalent)
-    /// query twice prepares it once.
+    /// Register a query, returning its handle: the plan stays reachable
+    /// through [`Engine::prepared`] (and saved by [`Engine::save_plans`])
+    /// even after the LRU evicts it.  Goes through the plan cache, so
+    /// registering the same (or an equivalent) query twice prepares it
+    /// once.
     pub fn register(&self, query: &Structure) -> QueryId {
         let plan = self.prepare(query);
         let mut registered = self.registered.lock().expect("registry lock");
@@ -1316,17 +1247,22 @@ impl Engine {
     /// fingerprint collision — falls back to an uncached exact count
     /// instead of a silently wrong one.
     pub fn count_instance(&self, query: &Structure, database: &Structure) -> CountReport {
-        self.count_prepared(&self.counting_plan(query), database)
+        self.count_prepared(&self.plan_where(query, |p| p.counts_for(query)), database)
     }
 
-    /// A plan that counts for `query`: the cached plan when
-    /// [`PreparedQuery::counts_for`] confirms it, else — a fingerprint
-    /// collision between hom-equivalent non-isomorphic structures — a
+    /// The cached plan for `query` when `reusable` accepts it, else — a
+    /// fingerprint collision with a plan this operation may not reuse — a
     /// throwaway plan for the submitted form (uncached: inserting it would
-    /// fight the colliding slot).
-    fn counting_plan(&self, query: &Structure) -> Arc<PreparedQuery> {
+    /// fight the colliding slot).  Counts and aggregates accept only
+    /// [`PreparedQuery::counts_for`] plans, answers only structurally
+    /// identical originals.
+    fn plan_where(
+        &self,
+        query: &Structure,
+        reusable: impl FnOnce(&PreparedQuery) -> bool,
+    ) -> Arc<PreparedQuery> {
         let plan = self.prepare(query);
-        if plan.counts_for(query) {
+        if reusable(&plan) {
             plan
         } else {
             self.prepare_counted(query, query_fingerprint(query))
@@ -1351,35 +1287,34 @@ impl Engine {
         }
     }
 
-    /// Count a batch of (query, database) instances across the configured
-    /// worker threads — the counting analogue of
-    /// [`Engine::solve_batch_instances`]: every distinct query is prepared
-    /// once through the shared plan cache (single-flighted under races) and
-    /// its counting certificates are materialized once; every instance is
-    /// counted against the cached plan.  Results are in input order and
-    /// bit-identical to the sequential path for every worker count.
-    pub fn count_batch(&self, batch: &[(&Structure, &Structure)]) -> Vec<CountReport> {
-        self.run_batch(batch, |engine, &(query, database)| {
-            engine.count_instance(query, database)
-        })
-    }
-
-    /// A cached plan whose original is **structurally identical** to the
-    /// submitted canonical structure — the reuse guard for answers.
+    /// The prologue [`Engine::count_answers`] and [`Engine::answers`]
+    /// share: canonical structure, free list, plan, counting certificates
+    /// and the licence check.
     ///
-    /// Answers need an even stricter guard than counting's
+    /// The plan guard ([`Engine::plan_where`]) is stricter than counting's
     /// [`PreparedQuery::counts_for`]: free-variable positions are element
     /// indices *of the submitted canonical structure*, and they do not
     /// transport along an isomorphism to a differently-labelled cached
     /// original (the projection would land on the wrong columns).  A cache
     /// hit whose original differs in any way therefore falls back to an
     /// uncached throwaway plan for the exact submitted form.
-    fn answer_plan(&self, canonical: &Structure) -> Arc<PreparedQuery> {
-        let plan = self.prepare(canonical);
-        if *plan.original() == *canonical {
-            plan
+    fn answer_route(&self, query: &ConjunctiveQuery, database: &Structure) -> AnswerRoute {
+        let canonical = query
+            .canonical_structure()
+            .expect("query atoms must be consistent with its declared variables");
+        let free = query.free_element_indices();
+        let plan = self.plan_where(&canonical, |p| *p.original() == canonical);
+        let widths = self.ensure_counting_certificates(&plan);
+        let eval = if CountMethod::TreeDecompositionDp.admits(widths, &self.config) {
+            let index = self.indexes.get(database);
+            AnswerEval::Kernel(plan.answer_program(&index, &free), index)
         } else {
-            self.prepare_counted(canonical, query_fingerprint(canonical))
+            AnswerEval::BruteForce(answers_bruteforce(&canonical, database, &free))
+        };
+        AnswerRoute {
+            widths,
+            free_count: free.len(),
+            eval,
         }
     }
 
@@ -1409,28 +1344,22 @@ impl Engine {
         query: &ConjunctiveQuery,
         database: &Structure,
     ) -> AnswerCountReport {
-        let canonical = query
-            .canonical_structure()
-            .expect("query atoms must be consistent with its declared variables");
-        let free = query.free_element_indices();
-        let plan = self.answer_plan(&canonical);
-        let widths = self.ensure_counting_certificates(&plan);
-        let licensed = CountMethod::TreeDecompositionDp.admits(widths, &self.config);
-        let (answers, method, answer_width) = if licensed {
-            let index = self.indexes.get(database);
-            let program = plan.answer_program(&index, &free);
-            (
+        let AnswerRoute {
+            widths,
+            free_count,
+            eval,
+        } = self.answer_route(query, database);
+        let (answers, method, answer_width) = match eval {
+            AnswerEval::Kernel(program, index) => (
                 program.count_answers(&index),
                 AnswerMethod::TreeDecompositionDp,
                 program.answer_width(),
-            )
-        } else {
-            let rows = answers_bruteforce(&canonical, database, &free);
-            (
-                rows.len() as u64,
+            ),
+            AnswerEval::BruteForce(all) => (
+                all.len() as u64,
                 AnswerMethod::BruteForce,
-                widths.treewidth + free.len(),
-            )
+                widths.treewidth + free_count,
+            ),
         };
         AnswerCountReport {
             answers,
@@ -1438,7 +1367,7 @@ impl Engine {
             degree_hint: Degree::of_widths(widths, &self.config),
             widths,
             answer_width,
-            free_count: free.len(),
+            free_count,
         }
     }
 
@@ -1458,8 +1387,9 @@ impl Engine {
     /// `+ 1`.)  The cursor walks each free variable's viable domain, its
     /// images under homomorphisms, which one full-reducer pass computes the
     /// first time a page is asked of an index version; later pages of the
-    /// same version reuse it.  Beyond the treewidth threshold the engine falls back to
-    /// materializing the brute-force projection and slicing it.
+    /// same version reuse it.  Beyond the treewidth threshold the engine
+    /// falls back to materializing the brute-force projection and slicing
+    /// it.
     ///
     /// # Panics
     /// When the query is malformed, as for [`Engine::count_answers`].
@@ -1470,90 +1400,30 @@ impl Engine {
         offset: u64,
         limit: usize,
     ) -> AnswerPage {
-        let canonical = query
-            .canonical_structure()
-            .expect("query atoms must be consistent with its declared variables");
-        let free = query.free_element_indices();
-        let plan = self.answer_plan(&canonical);
-        let widths = self.ensure_counting_certificates(&plan);
-        if CountMethod::TreeDecompositionDp.admits(widths, &self.config) {
-            let index = self.indexes.get(database);
-            let program = plan.answer_program(&index, &free);
-            let mut cursor = program.cursor(&index);
-            let method = AnswerMethod::TreeDecompositionDp;
-            for _ in 0..offset {
-                if cursor.next().is_none() {
-                    // Page starts past the end: empty, nothing follows.
-                    return AnswerPage {
-                        rows: Vec::new(),
-                        offset,
-                        has_more: false,
-                        method,
-                    };
-                }
-            }
-            let mut rows = Vec::new();
-            while rows.len() < limit {
-                match cursor.next() {
-                    Some(row) => rows.push(row),
-                    None => {
-                        return AnswerPage {
-                            rows,
-                            offset,
-                            has_more: false,
-                            method,
-                        }
-                    }
-                }
-            }
-            let has_more = cursor.next().is_some();
-            AnswerPage {
-                rows,
-                offset,
-                has_more,
-                method,
-            }
-        } else {
-            let all = answers_bruteforce(&canonical, database, &free);
-            let start = offset.min(all.len() as u64) as usize;
-            let end = start.saturating_add(limit).min(all.len());
-            AnswerPage {
-                rows: all[start..end]
-                    .iter()
-                    .map(|row| row.iter().map(|&e| e as u32).collect())
-                    .collect(),
-                offset,
-                has_more: end < all.len(),
-                method: AnswerMethod::BruteForce,
-            }
+        let route = self.answer_route(query, database);
+        let skip = usize::try_from(offset).unwrap_or(usize::MAX);
+        let (mut rest, method): (Box<dyn Iterator<Item = Vec<u32>>>, _) = match &route.eval {
+            AnswerEval::Kernel(program, index) => (
+                Box::new(program.cursor(index).skip(skip)),
+                AnswerMethod::TreeDecompositionDp,
+            ),
+            AnswerEval::BruteForce(all) => (
+                Box::new(
+                    all.iter()
+                        .skip(skip)
+                        .map(|row| row.iter().map(|&e| e as u32).collect()),
+                ),
+                AnswerMethod::BruteForce,
+            ),
+        };
+        let rows: Vec<Vec<u32>> = rest.by_ref().take(limit).collect();
+        let has_more = rows.len() == limit && rest.next().is_some();
+        AnswerPage {
+            rows,
+            offset,
+            has_more,
+            method,
         }
-    }
-
-    /// Count answers for a batch of (query, database) instances across the
-    /// configured worker threads — the answers analogue of
-    /// [`Engine::count_batch`]: plans and compiled answer programs are
-    /// shared through the caches, results are in input order and
-    /// bit-identical to the sequential path for every worker count.
-    pub fn count_answers_batch(
-        &self,
-        batch: &[(&ConjunctiveQuery, &Structure)],
-    ) -> Vec<AnswerCountReport> {
-        self.run_batch(batch, |engine, &(query, database)| {
-            engine.count_answers(query, database)
-        })
-    }
-
-    /// Evaluate a batch of paged answer requests
-    /// `(query, database, offset, limit)` across the configured worker
-    /// threads, in input order and bit-identical to the sequential path for
-    /// every worker count.
-    pub fn answers_batch(
-        &self,
-        batch: &[(&ConjunctiveQuery, &Structure, u64, usize)],
-    ) -> Vec<AnswerPage> {
-        self.run_batch(batch, |engine, &(query, database, offset, limit)| {
-            engine.answers(query, database, offset, limit)
-        })
     }
 
     /// Count homomorphisms from the star expansion `A*` into `b` through
@@ -1608,7 +1478,7 @@ impl Engine {
             weights.matches(database),
             "weight table does not align with the database's relations"
         );
-        let plan = self.counting_plan(query);
+        let plan = self.plan_where(query, |p| p.counts_for(query));
         let widths = self.ensure_counting_certificates(&plan);
         let method = CountMethod::for_widths(widths, &self.config);
         let index = self.indexes.get(database);
@@ -1621,58 +1491,19 @@ impl Engine {
         }
     }
 
-    /// Evaluate a batch of (query, database, weights) instances under one
-    /// objective across the configured worker threads, in input order and
-    /// bit-identical to the sequential path for every worker count.
-    pub fn aggregate_batch(
-        &self,
-        batch: &[(&Structure, &Structure, &TupleWeights)],
-        objective: AggregateObjective,
-    ) -> Vec<AggregateReport> {
-        self.run_batch(batch, |engine, &(query, database, weights)| {
-            engine.aggregate(query, database, weights, objective)
-        })
-    }
-
-    /// Evaluate a batch of (registered query, database) instances across
-    /// the configured worker threads.  Each distinct query was prepared
-    /// exactly once (at [`register`](Self::register) time); the batch
-    /// performs only per-database solver work.  Results are in input order
-    /// and identical to the sequential path.
+    /// The one batch form: evaluate `eval` on every item across the
+    /// configured worker threads ([`EngineConfig::workers`]) and return the
+    /// results in input order.  `eval` is any single-operation method, e.g.
+    /// `engine.batch(&pairs, |e, &(q, d)| e.count_instance(q, d))`.
     ///
-    /// Panics when a handle was issued by a different engine.
-    pub fn solve_batch(&self, batch: &[(QueryId, &Structure)]) -> Vec<EngineReport> {
-        // Snapshot the registered plans once: handles resolve lock-free
-        // inside the fan-out instead of contending on the registry mutex
-        // per instance.  (Registrations racing with the batch may or may
-        // not be visible — their handles could not be in `batch` anyway.)
-        let plans: Vec<Arc<PreparedQuery>> = self.registered.lock().expect("registry lock").clone();
-        self.run_batch(batch, move |engine, &(id, database)| {
-            assert_eq!(
-                id.engine, engine.id,
-                "QueryId was issued by a different Engine (handles are not transferable)"
-            );
-            engine.solve_prepared(&plans[id.index], database)
-        })
-    }
-
-    /// Evaluate a batch of raw (query, database) instances across the
-    /// configured worker threads: every distinct query is prepared once
-    /// through the plan cache (single-flighted under races), every instance
-    /// is evaluated against its cached plan.  Results are in input order
-    /// and identical to the sequential path.
-    pub fn solve_batch_instances(&self, batch: &[(&Structure, &Structure)]) -> Vec<EngineReport> {
-        self.run_batch(batch, |engine, &(query, database)| {
-            engine.solve(query, database)
-        })
-    }
-
-    /// Fan `items` out over a scoped thread pool and return the per-item
-    /// reports (decision or counting) in input order.  Workers pull the
-    /// next unclaimed index from a shared atomic cursor (work stealing), so
-    /// skewed per-instance costs balance; output order is fixed by index,
-    /// not completion order.
-    fn run_batch<T, R, F>(&self, items: &[T], solve_one: F) -> Vec<R>
+    /// Workers pull the next unclaimed index from a shared atomic cursor
+    /// (work stealing), so skewed per-item costs balance; output order is
+    /// fixed by index, not completion order, so the results are identical
+    /// to the sequential path for every worker count.  Plans, counting
+    /// certificates and database indexes are shared through the engine's
+    /// caches: each distinct query is prepared once (single-flighted under
+    /// races).  A panic in `eval` resumes on the calling thread.
+    pub fn batch<T, R, F>(&self, items: &[T], eval: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -1680,7 +1511,7 @@ impl Engine {
     {
         let workers = self.effective_workers().min(items.len());
         if workers <= 1 {
-            return items.iter().map(|item| solve_one(self, item)).collect();
+            return items.iter().map(|item| eval(self, item)).collect();
         }
         let cursor = AtomicUsize::new(0);
         let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
@@ -1692,7 +1523,7 @@ impl Engine {
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(item) = items.get(i) else { break };
-                            produced.push((i, solve_one(self, item)));
+                            produced.push((i, eval(self, item)));
                         }
                         produced
                     })
@@ -2026,7 +1857,7 @@ mod tests {
             .iter()
             .flat_map(|t| [(star_id, t), (cycle_id, t)])
             .collect();
-        let reports = engine.solve_batch(&batch);
+        let reports = engine.batch(&batch, |e, &(id, d)| e.solve_prepared(&e.prepared(id), d));
         assert_eq!(reports.len(), batch.len());
         for ((id, t), report) in batch.iter().zip(&reports) {
             let q = if *id == star_id { &star } else { &cycle };
@@ -2050,8 +1881,8 @@ mod tests {
             .iter()
             .flat_map(|q| targets.iter().map(move |t| (q, t)))
             .collect();
-        let seq_reports = sequential.solve_batch_instances(&batch);
-        let par_reports = parallel.solve_batch_instances(&batch);
+        let seq_reports = sequential.batch(&batch, |e, &(q, d)| e.solve(q, d));
+        let par_reports = parallel.batch(&batch, |e, &(q, d)| e.solve(q, d));
         assert_eq!(seq_reports, par_reports);
         // Both engines prepared each distinct query exactly once.
         assert_eq!(sequential.prep_stats().preparations, 3);
@@ -2675,7 +2506,7 @@ mod tests {
             .iter()
             .flat_map(|q| (0..8).map(move |_| (q, target_ref)))
             .collect();
-        let reports = engine.solve_batch_instances(&batch);
+        let reports = engine.batch(&batch, |e, &(q, d)| e.solve(q, d));
         assert_eq!(reports.len(), 24);
         let stats = engine.index_stats();
         assert_eq!(stats.entries, 1, "one shared database, one cached index");

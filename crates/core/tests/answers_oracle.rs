@@ -411,8 +411,10 @@ fn answer_batches_are_bit_identical_for_every_worker_count() {
         workers: 1,
         ..oracle_config()
     });
-    let expected_counts = sequential.count_answers_batch(&count_batch);
-    let expected_pages = sequential.answers_batch(&page_batch);
+    let expected_counts = sequential.batch(&count_batch, |e, &(q, d)| e.count_answers(q, d));
+    let expected_pages = sequential.batch(&page_batch, |e, &(q, d, offset, limit)| {
+        e.answers(q, d, offset, limit)
+    });
     for ((label, query, target), report) in pairs.iter().zip(&expected_counts) {
         assert_eq!(
             report.answers,
@@ -426,12 +428,14 @@ fn answer_batches_are_bit_identical_for_every_worker_count() {
             ..oracle_config()
         });
         assert_eq!(
-            parallel.count_answers_batch(&count_batch),
+            parallel.batch(&count_batch, |e, &(q, d)| e.count_answers(q, d)),
             expected_counts,
             "workers={workers} counts diverged from sequential"
         );
         assert_eq!(
-            parallel.answers_batch(&page_batch),
+            parallel.batch(&page_batch, |e, &(q, d, offset, limit)| {
+                e.answers(q, d, offset, limit)
+            }),
             expected_pages,
             "workers={workers} pages diverged from sequential"
         );

@@ -66,7 +66,7 @@ fn eight_threads_hammering_one_engine_stay_consistent() {
     let all_reports: Vec<Vec<EngineReport>> = std::thread::scope(|s| {
         let handles: Vec<_> = workloads
             .iter()
-            .map(|w| s.spawn(|| engine.solve_batch_instances(&w.instances())))
+            .map(|w| s.spawn(|| engine.batch(&w.instances(), |e, &(q, d)| e.solve(q, d))))
             .collect();
         handles
             .into_iter()
@@ -118,12 +118,12 @@ fn mixed_decide_and_count_traffic_on_shared_fingerprints_stays_consistent() {
         for (i, w) in workloads.iter().enumerate() {
             if i % 2 == 0 {
                 s.spawn(|| {
-                    let reports = engine.solve_batch_instances(&w.instances());
+                    let reports = engine.batch(&w.instances(), |e, &(q, d)| e.solve(q, d));
                     assert_eq!(reports, sequential_reference(&w.instances()));
                 });
             } else {
                 s.spawn(|| {
-                    let counts = engine.count_batch(&w.instances());
+                    let counts = engine.batch(&w.instances(), |e, &(q, d)| e.count_instance(q, d));
                     assert_eq!(counts, sequential_count_reference(&w.instances()));
                 });
             }
@@ -180,12 +180,12 @@ fn counts_stay_stable_under_eviction_churn() {
         for (i, w) in workloads.iter().enumerate() {
             if i % 2 == 0 {
                 s.spawn(|| {
-                    let counts = engine.count_batch(&w.instances());
+                    let counts = engine.batch(&w.instances(), |e, &(q, d)| e.count_instance(q, d));
                     assert_eq!(counts, sequential_count_reference(&w.instances()));
                 });
             } else {
                 s.spawn(|| {
-                    let reports = engine.solve_batch_instances(&w.instances());
+                    let reports = engine.batch(&w.instances(), |e, &(q, d)| e.solve(q, d));
                     assert_eq!(reports, sequential_reference(&w.instances()));
                 });
             }
@@ -218,7 +218,7 @@ fn stress_survives_an_eviction_churning_cache() {
     std::thread::scope(|s| {
         for w in &workloads {
             s.spawn(|| {
-                let reports = engine.solve_batch_instances(&w.instances());
+                let reports = engine.batch(&w.instances(), |e, &(q, d)| e.solve(q, d));
                 assert_eq!(reports, sequential_reference(&w.instances()));
             });
         }

@@ -181,8 +181,8 @@ fn kernel_counting_agrees_with_the_retained_references_on_the_corpus() {
 
 /// The oracle repeated through prepared-plan reuse: counting the same
 /// corpus through one engine (warm plan cache, every tier dispatched by
-/// [`CountMethod::for_widths`]) matches brute force, and the parallel `count_batch`
-/// returns bit-identical sequences for every worker count.  Guards the
+/// [`CountMethod::for_widths`]) matches brute force, and the parallel
+/// `Engine::batch` over `count_instance` returns bit-identical sequences for every worker count.  Guards the
 /// cache + counting-dispatch composition rather than individual tiers.
 #[test]
 fn engine_count_batch_over_the_corpus_matches_brute_force_for_every_worker_count() {
@@ -192,7 +192,7 @@ fn engine_count_batch_over_the_corpus_matches_brute_force_for_every_worker_count
         workers: 1,
         ..oracle_config()
     });
-    let expected = sequential.count_batch(&batch);
+    let expected = sequential.batch(&batch, |e, &(q, d)| e.count_instance(q, d));
     for ((label, query, target), report) in pairs.iter().zip(&expected) {
         assert_eq!(
             report.count,
@@ -206,7 +206,7 @@ fn engine_count_batch_over_the_corpus_matches_brute_force_for_every_worker_count
             workers,
             ..oracle_config()
         });
-        let got = parallel.count_batch(&batch);
+        let got = parallel.batch(&batch, |e, &(q, d)| e.count_instance(q, d));
         assert_eq!(got, expected, "workers={workers} diverged from sequential");
         assert_eq!(
             parallel.prep_stats().preparations,

@@ -379,3 +379,81 @@ fn answer_pages_after_deltas_match_the_projection() {
     }
     assert!(comparisons >= 50, "only {comparisons} comparisons ran");
 }
+
+/// Count and decide `path(3)` on a report's database against brute force.
+fn assert_path_answers(engine: &Engine, report: &DeltaReport, context: &str) {
+    let (path, now) = (families::path(3), report.database());
+    let expected = count_homomorphisms_bruteforce(&path, now);
+    assert_eq!(
+        engine.count_instance(&path, now).count,
+        expected,
+        "{context}"
+    );
+    assert_eq!(engine.solve(&path, now).exists, expected > 0, "{context}");
+}
+
+/// Two clones of one maintained index that take different deltas reach the
+/// same `(id, version)`: after a fork, each branch must be evaluated on its
+/// own content, never on retained tables the other branch left behind.
+#[test]
+fn forked_reports_never_share_retained_tables() {
+    let db = families::cycle(6);
+    let e = db.vocabulary().id_of("E").unwrap();
+    let warm = Engine::new(oracle_config());
+    let mut chord = DeltaBatch::new();
+    chord.insert(e, vec![0, 3]);
+    let forked = warm.apply_delta(&db, &chord).expect("valid batch");
+    assert_path_answers(&warm, &forked, "fork point");
+
+    // Branch A: three more chords, chained onto the original report.
+    let kept = forked.clone();
+    let mut more = DeltaBatch::new();
+    more.insert(e, vec![1, 4])
+        .insert(e, vec![4, 1])
+        .insert(e, vec![2, 5]);
+    let branch_a = warm
+        .apply_delta_chained(forked, &more)
+        .expect("valid batch");
+    assert_path_answers(&warm, &branch_a, "branch A");
+
+    // Branch B: drop the chord again, chained onto the kept clone.  Same
+    // index id, same version, same domain epoch as branch A.
+    let mut undo = DeltaBatch::new();
+    undo.delete(e, vec![0, 3]);
+    let branch_b = warm.apply_delta_chained(kept, &undo).expect("valid batch");
+    assert_eq!(branch_a.index().id(), branch_b.index().id());
+    assert_eq!(branch_a.version(), branch_b.version());
+    assert_eq!(branch_a.domain_epoch(), branch_b.domain_epoch());
+    assert_path_answers(&warm, &branch_b, "branch B");
+    assert_path_answers(&warm, &branch_a, "branch A again");
+}
+
+/// Compiled programs bake position domains, which stay sound supersets
+/// along one branch of deletions but not across a fork: a program first
+/// compiled on a branch whose deletions shrank a domain must not serve a
+/// sibling branch that kept it.
+#[test]
+fn forked_reports_never_share_programs_compiled_after_the_fork() {
+    let db = families::cycle(6);
+    let e = db.vocabulary().id_of("E").unwrap();
+    let warm = Engine::new(oracle_config());
+    let mut touch = DeltaBatch::new();
+    touch.delete(e, vec![1, 2]).insert(e, vec![1, 2]);
+    let forked = warm.apply_delta(&db, &touch).expect("valid batch");
+    let kept = forked.clone();
+
+    // Branch A evaluates first, after element 5 lost every tuple at
+    // position 0; branch B keeps them, at the same id and epoch.
+    let mut isolate = DeltaBatch::new();
+    isolate.delete(e, vec![5, 0]).delete(e, vec![5, 4]);
+    let branch_a = warm
+        .apply_delta_chained(forked, &isolate)
+        .expect("valid batch");
+    assert_path_answers(&warm, &branch_a, "branch A");
+    let mut other = DeltaBatch::new();
+    other.delete(e, vec![2, 3]);
+    let branch_b = warm.apply_delta_chained(kept, &other).expect("valid batch");
+    assert_eq!(branch_a.index().id(), branch_b.index().id());
+    assert_eq!(branch_a.domain_epoch(), branch_b.domain_epoch());
+    assert_path_answers(&warm, &branch_b, "branch B");
+}

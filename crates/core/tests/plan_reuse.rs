@@ -93,13 +93,13 @@ fn batch_over_one_query_prepares_once() {
 
     let id = engine.register(&query);
     let batch: Vec<(QueryId, &_)> = targets.iter().map(|t| (id, t)).collect();
-    let reports = engine.solve_batch(&batch);
+    let reports = engine.batch(&batch, |e, &(id, d)| e.solve_prepared(&e.prepared(id), d));
 
     assert_eq!(reports.len(), targets.len());
     for (t, report) in targets.iter().zip(&reports) {
         assert_eq!(report.exists, homomorphism_exists(&query, t));
     }
-    // `register` prepared on this thread; `solve_batch` must add nothing,
+    // `register` prepared on this thread; the batch must add nothing,
     // no matter which worker threads it ran on.
     let delta = stats::counts().since(&decomp_before);
     assert_eq!(delta.treewidth_calls, 1);
@@ -129,7 +129,7 @@ fn instance_batch_with_repeated_queries_prepares_each_distinct_query_once() {
         .iter()
         .flat_map(|t| [(&star, t), (&cycle, t)])
         .collect();
-    let reports = engine.solve_batch_instances(&batch);
+    let reports = engine.batch(&batch, |e, &(q, d)| e.solve(q, d));
 
     for ((q, t), report) in batch.iter().zip(&reports) {
         assert_eq!(report.exists, homomorphism_exists(q, t), "{q} -> {t}");
@@ -169,7 +169,7 @@ fn aggregated_prep_stats_are_exact_where_thread_locals_undercount() {
     let cores_before = core_computation_count();
     let global_before = stats::global_counts();
 
-    let reports = engine.solve_batch_instances(&batch);
+    let reports = engine.batch(&batch, |e, &(q, d)| e.solve(q, d));
     assert_eq!(reports.len(), batch.len());
 
     // The calling thread only dispatched: its thread-locals are silent...

@@ -49,8 +49,8 @@ fn warm_started_engine_is_bit_identical_with_zero_preparation_work() {
 
     // Cold engine: prepare + decide + count the whole workload, then save.
     let cold = Engine::new(config);
-    let cold_reports = cold.solve_batch_instances(&batch);
-    let cold_counts = cold.count_batch(&batch);
+    let cold_reports = cold.batch(&batch, |e, &(q, d)| e.solve(q, d));
+    let cold_counts = cold.batch(&batch, |e, &(q, d)| e.count_instance(q, d));
     let cold_prep = cold.prep_stats();
     assert_eq!(cold_prep.preparations, fleet.len() as u64);
     let saved = cold.save_plans(&path).expect("save_plans");
@@ -70,8 +70,8 @@ fn warm_started_engine_is_bit_identical_with_zero_preparation_work() {
     assert_eq!(after_load.core_computations, 0);
 
     // The warm path: bit-identical reports, zero exponential work.
-    let warm_reports = warm.solve_batch_instances(&batch);
-    let warm_counts = warm.count_batch(&batch);
+    let warm_reports = warm.batch(&batch, |e, &(q, d)| e.solve(q, d));
+    let warm_counts = warm.batch(&batch, |e, &(q, d)| e.count_instance(q, d));
     assert_eq!(warm_reports, cold_reports, "decision reports must agree");
     assert_eq!(warm_counts, cold_counts, "count reports must agree");
     let warm_prep = warm.prep_stats();

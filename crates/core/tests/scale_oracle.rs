@@ -9,7 +9,7 @@
 //! Three gates, all on the subsampled slice:
 //!
 //! 1. decision: `Engine::solve` agrees with [`homomorphism_exists`];
-//! 2. counting: `Engine::count_batch` agrees with
+//! 2. counting: `Engine::count_instance`, batched, agrees with
 //!    [`count_homomorphisms_bruteforce`];
 //! 3. determinism: a 1-worker engine and a 4-worker engine return
 //!    bit-identical report batches (parallel fan-out must not perturb
@@ -100,7 +100,7 @@ fn engine_counts_agree_with_brute_force_on_subsampled_slices() {
         .iter()
         .flat_map(|q| sliced.iter().map(move |(_, s)| (q, s)))
         .collect();
-    let reports = engine.count_batch(&batch);
+    let reports = engine.batch(&batch, |e, &(q, d)| e.count_instance(q, d));
     for ((q, slice), report) in batch.iter().zip(&reports) {
         let truth = count_homomorphisms_bruteforce(q, slice);
         assert_eq!(
@@ -129,13 +129,13 @@ fn one_worker_and_four_workers_are_bit_identical_on_the_slice_batch() {
         ..EngineConfig::default()
     });
     assert_eq!(
-        serial.solve_batch_instances(&batch),
-        parallel.solve_batch_instances(&batch),
+        serial.batch(&batch, |e, &(q, d)| e.solve(q, d)),
+        parallel.batch(&batch, |e, &(q, d)| e.solve(q, d)),
         "decision batch must not depend on worker count"
     );
     assert_eq!(
-        serial.count_batch(&batch),
-        parallel.count_batch(&batch),
+        serial.batch(&batch, |e, &(q, d)| e.count_instance(q, d)),
+        parallel.batch(&batch, |e, &(q, d)| e.count_instance(q, d)),
         "count batch must not depend on worker count"
     );
 }

@@ -187,19 +187,23 @@ fn engine_matches_the_closed_forms_of_the_weighted_workload() {
     assert_eq!(engine.prep_stats().preparations, 4);
 }
 
-/// Weighted batch determinism: `aggregate_batch` under both objectives and
-/// any worker count return sequences bit-identical to the sequential path
-/// (the guarantee `count_batch` makes, extended to aggregates).
+/// Weighted batch determinism: `Engine::batch` over `aggregate` under both
+/// objectives and any worker count returns sequences bit-identical to the
+/// sequential path (the guarantee batched counts make, extended to
+/// aggregates).
 #[test]
 fn weighted_batches_are_bit_identical_across_worker_counts() {
     let w = weighted_traffic(&[3, 4, 5], 6, 23);
     let instances = w.instances();
+    let aggregate_all = |engine: &Engine, objective| {
+        engine.batch(&instances, |e, &(q, d, w)| e.aggregate(q, d, w, objective))
+    };
     let sequential = Engine::new(EngineConfig {
         workers: 1,
         ..oracle_config()
     });
-    let expected_min = sequential.aggregate_batch(&instances, AggregateObjective::MinCost);
-    let expected_max = sequential.aggregate_batch(&instances, AggregateObjective::MaxWeight);
+    let expected_min = aggregate_all(&sequential, AggregateObjective::MinCost);
+    let expected_max = aggregate_all(&sequential, AggregateObjective::MaxWeight);
     for (i, report) in expected_min.iter().enumerate() {
         assert_eq!(
             report.value, w.expected_min[i],
@@ -212,12 +216,12 @@ fn weighted_batches_are_bit_identical_across_worker_counts() {
             ..oracle_config()
         });
         assert_eq!(
-            parallel.aggregate_batch(&instances, AggregateObjective::MinCost),
+            aggregate_all(&parallel, AggregateObjective::MinCost),
             expected_min,
             "min-cost batch diverged at workers={workers}"
         );
         assert_eq!(
-            parallel.aggregate_batch(&instances, AggregateObjective::MaxWeight),
+            aggregate_all(&parallel, AggregateObjective::MaxWeight),
             expected_max,
             "max-weight batch diverged at workers={workers}"
         );

@@ -13,7 +13,7 @@
 //! default multi-threaded test harness (each `#[test]` runs on its own
 //! thread and observes only its own calls).  Thread-locality also means a
 //! caller that fans work out to worker threads (the engine's parallel
-//! `solve_batch`) sees **zero** on its own thread: for cross-thread totals
+//! `Engine::batch`) sees **zero** on its own thread: for cross-thread totals
 //! use [`global_counts`], a process-wide monotonic aggregate bumped by the
 //! same record points, or the engine's own per-engine aggregation
 //! (`Engine::prep_stats`), which sums worker-thread deltas exactly.

@@ -1,7 +1,10 @@
 //! CI smoke driver for the query service.
 //!
 //! ```text
-//! cq-service-smoke --probe ADDR        # wait (≤15 s) for the server, ping it
+//! cq-service-smoke --probe ADDR        # wait (≤15 s) for the server, ping it,
+//!                                      # then count a free-variable query's
+//!                                      # answers and page through all of
+//!                                      # them, differential vs in-process
 //! cq-service-smoke --expect-cold ADDR  # drive traffic, differential vs
 //!                                      # in-process engine, assert the boot
 //!                                      # was cold (preparations > 0)
@@ -43,13 +46,17 @@ fn connect(addr: &str) -> Client {
     }
 }
 
-/// Retry-connect until the server answers a ping (boot race) or 15 s pass.
+/// Retry-connect until the server answers a ping (boot race) or 15 s pass,
+/// then drive the answer requests through it.
 fn probe(addr: &str) {
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
     loop {
         if let Ok(mut client) = Client::connect_with_timeout(addr, Some(Duration::from_secs(5))) {
             if client.ping().is_ok() {
-                println!("cq-service-smoke: probe ok ({addr})");
+                let (answers, pages) = probe_answers(&mut client);
+                println!(
+                    "cq-service-smoke: probe ok ({addr}) — {answers} answers in {pages} pages agree"
+                );
                 return;
             }
         }
@@ -60,6 +67,52 @@ fn probe(addr: &str) {
         }
         std::thread::sleep(Duration::from_millis(100));
     }
+}
+
+/// Count a free-variable query's answers, then tile the whole answer set
+/// in pages, comparing every report and page bit-for-bit against a fresh
+/// in-process engine.  Returns (answers, pages).
+fn probe_answers(client: &mut Client) -> (u64, usize) {
+    let oracle = Engine::new(EngineConfig::default());
+    let path = cq_structures::families::path(4);
+    let mut query = cq_structures::ConjunctiveQuery::from_structure(&path);
+    for v in [query.variables()[0].clone(), query.variables()[3].clone()] {
+        query
+            .mark_free(v)
+            .unwrap_or_else(|e| fail(&format!("mark_free: {e}")));
+    }
+    let database = cq_workloads::random_graph_structure(9, 0.35, 5);
+    let report = client
+        .count_answers(&query, &database)
+        .unwrap_or_else(|e| fail(&format!("count_answers: {e}")));
+    let want = oracle.count_answers(&query, &database);
+    if report != want {
+        fail(&format!("count_answers disagrees: {report:?} != {want:?}"));
+    }
+    let (mut offset, mut pages) = (0u64, 0usize);
+    loop {
+        let page = client
+            .answers(&query, &database, offset, 3)
+            .unwrap_or_else(|e| fail(&format!("answers page at {offset}: {e}")));
+        let want = oracle.answers(&query, &database, offset, 3);
+        if page != want {
+            fail(&format!(
+                "answers page at {offset} disagrees: {page:?} != {want:?}"
+            ));
+        }
+        offset += page.rows.len() as u64;
+        pages += 1;
+        if !page.has_more {
+            break;
+        }
+    }
+    if offset != report.answers {
+        fail(&format!(
+            "pages tile {offset} answers, not {}",
+            report.answers
+        ));
+    }
+    (report.answers, pages)
 }
 
 /// Drive the deterministic mixed workload through `client`, comparing

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cq-serviced [--addr HOST:PORT] [--plan-store PATH]
-//!             [--max-connections N] [--queue-depth N] [--coalesce-limit N]
+//!             [--max-connections N] [--queue-depth N]
 //!             [--max-in-flight N] [--max-requests-per-second N]
 //! ```
 //!
@@ -39,7 +39,7 @@ extern "C" fn on_signal(_signum: i32) {
 fn usage() -> ! {
     eprintln!(
         "usage: cq-serviced [--addr HOST:PORT] [--plan-store PATH] \
-         [--max-connections N] [--queue-depth N] [--coalesce-limit N] \
+         [--max-connections N] [--queue-depth N] \
          [--max-in-flight N] [--max-requests-per-second N]"
     );
     std::process::exit(2);
@@ -58,9 +58,6 @@ fn main() {
                 config.max_connections = value().parse().unwrap_or_else(|_| usage())
             }
             "--queue-depth" => config.queue_depth = value().parse().unwrap_or_else(|_| usage()),
-            "--coalesce-limit" => {
-                config.coalesce_limit = value().parse().unwrap_or_else(|_| usage())
-            }
             "--max-in-flight" => {
                 config.max_in_flight_per_connection = value().parse().unwrap_or_else(|_| usage())
             }

@@ -17,10 +17,11 @@
 //! * [`server`] — the service itself: nonblocking accept loop with a
 //!   connection limit, per-connection reader/writer threads (responses
 //!   pipeline in request order), a bounded job queue with
-//!   [`protocol::ErrorCode::Busy`] backpressure, a dispatcher that
-//!   coalesces concurrent singleton requests into the engine's batch
-//!   fan-outs, and a warm-start / save-on-eviction / save-on-shutdown
-//!   plan-store lifecycle.
+//!   [`protocol::ErrorCode::Busy`] backpressure, one job shape (a closure
+//!   over one engine method plus a reply channel) that a dispatcher drains
+//!   a whole queue of per round and evaluates in arrival order, and a
+//!   warm-start / save-on-eviction / save-on-shutdown plan-store
+//!   lifecycle.
 //! * [`client`] — a blocking client with both strict request/response
 //!   calls and raw send/receive pipelining.
 //!

@@ -7,12 +7,12 @@
 //!                 │  admission: reject over the connection limit
 //!                 ▼
 //!  per connection: reader thread ──► bounded job queue ──► dispatcher thread
-//!                 │    (frames in,      (admission:            │ drains up to
-//!                 │     decode,          Busy when full)       │ coalesce_limit
-//!                 │     enqueue)                               │ jobs, partitions
-//!                 ▼                                            ▼ decide/count
-//!             writer thread ◄── per-request reply channels ◄── solve_prepared /
-//!               (frames out, in request order — pipelining)    count_prepared
+//!                 │    (frames in,      (admission:            │ drains the
+//!                 │     decode,          Busy when full)       │ whole queue,
+//!                 │     resolve, build                         │ runs each job's
+//!                 ▼     the job)                               ▼ evaluation
+//!             writer thread ◄── per-request reply channels ◄── in arrival order
+//!               (frames out, in request order — pipelining)
 //! ```
 //!
 //! * **Admission control**: connections over `max_connections` are refused
@@ -24,13 +24,14 @@
 //!   answer) and `max_requests_per_second` (token bucket) — so one greedy
 //!   pipeliner cannot starve its peers.  Over-quota requests get a typed
 //!   [`ErrorCode::Busy`] answer, never a disconnect.
-//! * **Coalescing**: the dispatcher greedily drains whatever singleton
-//!   decide/count jobs are queued — across *all* connections — and answers
-//!   each kind as one round, evaluating the jobs one by one on the
-//!   dispatcher thread with `Engine::solve_prepared` /
-//!   `Engine::count_prepared` against their already-prepared plans, so
-//!   concurrent single-request clients share one queue wake-up and one
-//!   round of bookkeeping.
+//! * **One job shape**: the reader thread resolves and validates each
+//!   engine-bound request and packs it into a `Job` — a closure over the
+//!   engine's single-operation method (`solve_prepared`, `count_prepared`,
+//!   `count_answers`, `answers`) plus a reply channel.  The dispatcher
+//!   drains every queued job — across *all* connections — as one round and
+//!   runs them in arrival order, each under its own `catch_unwind`, so
+//!   concurrent clients share one queue wake-up and one round of
+//!   bookkeeping, and an engine panic answers only the job that raised it.
 //! * **Slow clients**: a peer that stalls mid-frame (or stops reading its
 //!   responses) is disconnected after `io_timeout` without progress; a peer
 //!   idling *between* frames is fine.
@@ -66,18 +67,17 @@ pub struct ServiceConfig {
     /// Bound on queued (admitted, not yet dispatched) requests across all
     /// connections; overflow is answered [`ErrorCode::Busy`].
     pub queue_depth: usize,
-    /// Per-connection cap on engine-bound requests (decide/count, single
-    /// or batch) admitted but not yet answered.  One greedy pipeliner hits
-    /// this wall before it can monopolize the shared queue; over-quota
-    /// requests are answered [`ErrorCode::Busy`], the connection stays up.
+    /// Per-connection cap on engine-bound requests (decide, count, their
+    /// batches, answer counts and pages) admitted but not yet answered.
+    /// One greedy pipeliner hits this wall before it can monopolize the
+    /// shared queue; over-quota requests are answered [`ErrorCode::Busy`],
+    /// the connection stays up.
     pub max_in_flight_per_connection: usize,
     /// Per-connection request rate limit: a token bucket refilled at this
     /// many tokens per second (burst capacity of the same size), one token
     /// per decoded request of any kind.  Over-quota requests are answered
     /// [`ErrorCode::Busy`], the connection stays up.  `0` disables.
     pub max_requests_per_second: u32,
-    /// Most singleton requests one dispatcher fan-out coalesces.
-    pub coalesce_limit: usize,
     /// Patience with a peer that has started a frame but stopped feeding
     /// it, or stopped draining its responses.
     pub io_timeout: Duration,
@@ -94,7 +94,6 @@ impl Default for ServiceConfig {
             queue_depth: 256,
             max_in_flight_per_connection: 64,
             max_requests_per_second: 0,
-            coalesce_limit: 64,
             io_timeout: Duration::from_secs(5),
             plan_store: None,
         }
@@ -112,38 +111,14 @@ pub struct ShutdownReport {
     pub plans_saved: u64,
 }
 
+/// An engine evaluation, built on the reader thread once the request is
+/// resolved and validated.
+type Eval = Box<dyn FnOnce(&Engine) -> Response + Send>;
+
 /// A queued unit of engine work plus the channel its answer goes back on.
-enum Job {
-    Decide {
-        query: Arc<PreparedQuery>,
-        database: Structure,
-        reply: mpsc::Sender<Response>,
-    },
-    Count {
-        query: Arc<PreparedQuery>,
-        database: Structure,
-        reply: mpsc::Sender<Response>,
-    },
-    DecideBatch {
-        items: Vec<(Arc<PreparedQuery>, Structure)>,
-        reply: mpsc::Sender<Response>,
-    },
-    CountBatch {
-        items: Vec<(Arc<PreparedQuery>, Structure)>,
-        reply: mpsc::Sender<Response>,
-    },
-    CountAnswers {
-        query: ConjunctiveQuery,
-        database: Structure,
-        reply: mpsc::Sender<Response>,
-    },
-    Answers {
-        query: ConjunctiveQuery,
-        database: Structure,
-        offset: u64,
-        limit: usize,
-        reply: mpsc::Sender<Response>,
-    },
+struct Job {
+    eval: Eval,
+    reply: mpsc::Sender<Response>,
 }
 
 /// One slot of a connection's ordered response stream: either ready now
@@ -255,6 +230,20 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(engine: Engine, config: ServiceConfig) -> Shared {
+        Shared {
+            engine,
+            config,
+            shutdown: AtomicBool::new(false),
+            active_connections: AtomicUsize::new(0),
+            next_query_id: AtomicU64::new(0),
+            registered: Mutex::new(HashMap::new()),
+            queue: Mutex::new(VecDeque::new()),
+            queue_signal: Condvar::new(),
+            counters: Counters::default(),
+        }
+    }
+
     /// Admit a job or explain why not.  Taking the queue lock for both the
     /// shutdown check and the push closes the race against the dispatcher's
     /// exit (which verifies emptiness under the same lock): a job is either
@@ -365,17 +354,7 @@ impl Server {
         listener.set_nonblocking(true).map_err(PersistError::Io)?;
         let local_addr = listener.local_addr().map_err(PersistError::Io)?;
 
-        let shared = Arc::new(Shared {
-            engine,
-            config,
-            shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
-            next_query_id: AtomicU64::new(0),
-            registered: Mutex::new(HashMap::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_signal: Condvar::new(),
-            counters: Counters::default(),
-        });
+        let shared = Arc::new(Shared::new(engine, config));
 
         let accept_handle = {
             let shared = Arc::clone(&shared);
@@ -679,13 +658,13 @@ impl std::io::Read for FrameSource<'_> {
 }
 
 /// Submit one engine-bound job under the connection's in-flight quota:
-/// reserve a slot, build the job (resolving query specs), enqueue it.
-/// Any refusal — quota, resolution, queue admission — hands the slot back
-/// and answers inline; the connection always survives.
+/// reserve a slot, build the evaluation (resolving query specs), enqueue
+/// it.  Any refusal — quota, resolution, queue admission — hands the slot
+/// back and answers inline; the connection always survives.
 fn submit_job(
     shared: &Arc<Shared>,
     quota: &ConnQuota,
-    build: impl FnOnce(mpsc::Sender<Response>) -> Result<Job, Box<Response>>,
+    build: impl FnOnce() -> Result<Eval, Box<Response>>,
 ) -> Pending {
     if !quota.try_reserve() {
         shared
@@ -702,7 +681,7 @@ fn submit_job(
         }));
     }
     let (reply, rx) = mpsc::channel();
-    match build(reply).and_then(|job| shared.enqueue(job)) {
+    match build().and_then(|eval| shared.enqueue(Job { eval, reply })) {
         Ok(()) => Pending::Waiting(rx),
         Err(error) => {
             quota.release();
@@ -744,46 +723,52 @@ fn handle_request(shared: &Arc<Shared>, quota: &ConnQuota, request: Request) -> 
                 fingerprint,
             })))
         }
-        Request::Decide { query, database } => Some(submit_job(shared, quota, |reply| {
-            Ok(Job::Decide {
-                query: shared.resolve(query)?,
-                database,
-                reply,
-            })
+        Request::Decide { query, database } => Some(submit_job(shared, quota, || {
+            let plan = shared.resolve(query)?;
+            Ok(Box::new(move |engine: &Engine| {
+                Response::Decision(engine.solve_prepared(&plan, &database))
+            }))
         })),
-        Request::Count { query, database } => Some(submit_job(shared, quota, |reply| {
-            Ok(Job::Count {
-                query: shared.resolve(query)?,
-                database,
-                reply,
-            })
+        Request::Count { query, database } => Some(submit_job(shared, quota, || {
+            let plan = shared.resolve(query)?;
+            Ok(Box::new(move |engine: &Engine| {
+                Response::Count(engine.count_prepared(&plan, &database))
+            }))
         })),
-        Request::DecideBatch { items } => Some(submit_job(shared, quota, |reply| {
-            Ok(Job::DecideBatch {
-                items: resolve_items(shared, items)?,
-                reply,
-            })
+        Request::DecideBatch { items } => Some(submit_job(shared, quota, || {
+            let items = resolve_items(shared, items)?;
+            Ok(Box::new(move |engine: &Engine| {
+                Response::DecideBatch(
+                    items
+                        .iter()
+                        .map(|(plan, database)| engine.solve_prepared(plan, database))
+                        .collect(),
+                )
+            }))
         })),
-        Request::CountBatch { items } => Some(submit_job(shared, quota, |reply| {
-            Ok(Job::CountBatch {
-                items: resolve_items(shared, items)?,
-                reply,
-            })
+        Request::CountBatch { items } => Some(submit_job(shared, quota, || {
+            let items = resolve_items(shared, items)?;
+            Ok(Box::new(move |engine: &Engine| {
+                Response::CountBatch(
+                    items
+                        .iter()
+                        .map(|(plan, database)| engine.count_prepared(plan, database))
+                        .collect(),
+                )
+            }))
         })),
-        Request::CountAnswers { query, database } => Some(submit_job(shared, quota, |reply| {
+        Request::CountAnswers { query, database } => Some(submit_job(shared, quota, || {
             validate_answer_query(&query)?;
-            Ok(Job::CountAnswers {
-                query,
-                database,
-                reply,
-            })
+            Ok(Box::new(move |engine: &Engine| {
+                Response::AnswerCount(engine.count_answers(&query, &database))
+            }))
         })),
         Request::Answers {
             query,
             database,
             offset,
             limit,
-        } => Some(submit_job(shared, quota, |reply| {
+        } => Some(submit_job(shared, quota, || {
             validate_answer_query(&query)?;
             if limit > MAX_ANSWER_PAGE_LIMIT {
                 return Err(Box::new(Response::Error {
@@ -795,13 +780,9 @@ fn handle_request(shared: &Arc<Shared>, quota: &ConnQuota, request: Request) -> 
                     offset: None,
                 }));
             }
-            Ok(Job::Answers {
-                query,
-                database,
-                offset,
-                limit: limit as usize,
-                reply,
-            })
+            Ok(Box::new(move |engine: &Engine| {
+                Response::Answers(engine.answers(&query, &database, offset, limit as usize))
+            }))
         })),
     }
 }
@@ -871,18 +852,17 @@ fn write_loop(
     }
 }
 
-/// Dispatcher: drain queued jobs (up to `coalesce_limit` per round) and
-/// hand them to [`run_round`], which evaluates them on this thread.  Exits
-/// only when shutdown is flagged *and* the queue is verifiably empty under
-/// the lock — every admitted job is answered.
+/// Dispatcher: drain every queued job and hand the round to
+/// [`run_round`], which evaluates it on this thread.  Exits only when
+/// shutdown is flagged *and* the queue is verifiably empty under the lock —
+/// every admitted job is answered.
 fn dispatcher_loop(shared: &Arc<Shared>) {
     loop {
         let jobs = {
             let mut queue = shared.queue.lock().expect("job queue lock");
             loop {
                 if !queue.is_empty() {
-                    let take = queue.len().min(shared.config.coalesce_limit.max(1));
-                    break queue.drain(..take).collect::<Vec<Job>>();
+                    break std::mem::take(&mut *queue);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -898,179 +878,74 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Execute one drained round on the dispatcher thread: singleton decides
-/// form one round and singleton counts another, each evaluated job by job
-/// through [`evaluate_prepared`]; explicit batches — and the answer jobs
-/// of protocol version 4 — run as rounds of their own.
-fn run_round(shared: &Arc<Shared>, jobs: Vec<Job>) {
-    let mut decides: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = Vec::new();
-    let mut counts: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = Vec::new();
-    let mut batches: Vec<Job> = Vec::new();
-    for job in jobs {
-        match job {
-            Job::Decide {
-                query,
-                database,
-                reply,
-            } => decides.push((query, database, reply)),
-            Job::Count {
-                query,
-                database,
-                reply,
-            } => counts.push((query, database, reply)),
-            batch => batches.push(batch),
-        }
-    }
-
-    if !decides.is_empty() {
+/// Evaluate one drained round in arrival order.  Each job runs under its
+/// own `catch_unwind`: a panic inside the engine (pathological databases)
+/// answers that job with [`ErrorCode::Internal`], never a dead dispatcher
+/// or a failed neighbour.
+fn run_round(shared: &Arc<Shared>, jobs: VecDeque<Job>) {
+    shared
+        .counters
+        .dispatch_rounds
+        .fetch_add(1, Ordering::Relaxed);
+    if jobs.len() > 1 {
         shared
             .counters
-            .dispatch_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        if decides.len() > 1 {
-            shared
-                .counters
-                .coalesced_requests
-                .fetch_add(decides.len() as u64, Ordering::Relaxed);
-        }
-        let reports = evaluate_prepared(shared, &decides, decide_one, "decision evaluation failed");
-        for ((_, _, reply), report) in decides.iter().zip(reports) {
-            let _ = reply.send(report);
-        }
+            .coalesced_requests
+            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
     }
-    if !counts.is_empty() {
-        shared
-            .counters
-            .dispatch_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        if counts.len() > 1 {
-            shared
-                .counters
-                .coalesced_requests
-                .fetch_add(counts.len() as u64, Ordering::Relaxed);
-        }
-        let reports = evaluate_prepared(shared, &counts, count_one, "count evaluation failed");
-        for ((_, _, reply), report) in counts.iter().zip(reports) {
-            let _ = reply.send(report);
-        }
-    }
-    for batch in batches {
-        shared
-            .counters
-            .dispatch_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        match batch {
-            Job::DecideBatch { items, reply } => {
-                let singles: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = items
-                    .into_iter()
-                    .map(|(q, d)| (q, d, reply.clone()))
-                    .collect();
-                let reports: Vec<Response> =
-                    evaluate_prepared(shared, &singles, decide_one, "decision evaluation failed");
-                let mut out = Vec::with_capacity(reports.len());
-                for r in reports {
-                    match r {
-                        Response::Decision(report) => out.push(report),
-                        other => {
-                            let _ = reply.send(other);
-                            return;
-                        }
-                    }
-                }
-                let _ = reply.send(Response::DecideBatch(out));
-            }
-            Job::CountBatch { items, reply } => {
-                let singles: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = items
-                    .into_iter()
-                    .map(|(q, d)| (q, d, reply.clone()))
-                    .collect();
-                let reports: Vec<Response> =
-                    evaluate_prepared(shared, &singles, count_one, "count evaluation failed");
-                let mut out = Vec::with_capacity(reports.len());
-                for r in reports {
-                    match r {
-                        Response::Count(report) => out.push(report),
-                        other => {
-                            let _ = reply.send(other);
-                            return;
-                        }
-                    }
-                }
-                let _ = reply.send(Response::CountBatch(out));
-            }
-            Job::CountAnswers {
-                query,
-                database,
-                reply,
-            } => {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    Response::AnswerCount(shared.engine.count_answers(&query, &database))
-                }));
-                let _ = reply.send(result.unwrap_or_else(|_| Response::Error {
+    for Job { eval, reply } in jobs {
+        let response =
+            catch_unwind(AssertUnwindSafe(|| eval(&shared.engine))).unwrap_or_else(|_| {
+                Response::Error {
                     code: ErrorCode::Internal,
-                    message: "answer counting failed".to_string(),
+                    message: "evaluation failed".to_string(),
                     offset: None,
-                }));
-            }
-            Job::Answers {
-                query,
-                database,
-                offset,
-                limit,
-                reply,
-            } => {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    Response::Answers(shared.engine.answers(&query, &database, offset, limit))
-                }));
-                let _ = reply.send(result.unwrap_or_else(|_| Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "answer enumeration failed".to_string(),
-                    offset: None,
-                }));
-            }
-            Job::Decide { .. } | Job::Count { .. } => unreachable!("partitioned above"),
-        }
+                }
+            });
+        let _ = reply.send(response);
     }
-}
-
-fn decide_one(engine: &Engine, plan: &PreparedQuery, database: &Structure) -> Response {
-    Response::Decision(engine.solve_prepared(plan, database))
-}
-
-fn count_one(engine: &Engine, plan: &PreparedQuery, database: &Structure) -> Response {
-    Response::Count(engine.count_prepared(plan, database))
-}
-
-/// Evaluate jobs over already-prepared plans one by one with `eval`
-/// ([`decide_one`] or [`count_one`]).  A panic inside the engine
-/// (pathological databases) answers every job of the round with an
-/// [`ErrorCode::Internal`] carrying `failure`, never a dead dispatcher.
-fn evaluate_prepared(
-    shared: &Arc<Shared>,
-    items: &[(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)],
-    eval: fn(&Engine, &PreparedQuery, &Structure) -> Response,
-    failure: &str,
-) -> Vec<Response> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        items
-            .iter()
-            .map(|(plan, database, _)| eval(&shared.engine, plan, database))
-            .collect::<Vec<Response>>()
-    }));
-    result.unwrap_or_else(|_| {
-        items
-            .iter()
-            .map(|_| Response::Error {
-                code: ErrorCode::Internal,
-                message: failure.to_string(),
-                offset: None,
-            })
-            .collect()
-    })
 }
 
 /// One-line server-side log (stderr, so stdout stays parseable for the
 /// daemon's readiness line).
 fn log_line(message: &str) {
     eprintln!("cq-service: {message}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cq_core::EngineConfig;
+
+    #[test]
+    fn a_panicking_job_answers_only_itself() {
+        let shared = Arc::new(Shared::new(
+            Engine::new(EngineConfig::default()),
+            ServiceConfig::default(),
+        ));
+        let (first, first_rx) = mpsc::channel();
+        let (second, second_rx) = mpsc::channel();
+        let jobs = VecDeque::from([
+            Job {
+                eval: Box::new(|_| panic!("engine failure")),
+                reply: first,
+            },
+            Job {
+                eval: Box::new(|_| Response::Pong),
+                reply: second,
+            },
+        ]);
+        run_round(&shared, jobs);
+        assert!(matches!(
+            first_rx.recv(),
+            Ok(Response::Error {
+                code: ErrorCode::Internal,
+                ..
+            })
+        ));
+        assert!(matches!(second_rx.recv(), Ok(Response::Pong)));
+        let counters = shared.counters.snapshot();
+        assert_eq!(counters.dispatch_rounds, 1);
+        assert_eq!(counters.coalesced_requests, 2);
+    }
 }

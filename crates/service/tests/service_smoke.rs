@@ -171,35 +171,87 @@ fn unknown_query_id_is_an_error_and_the_connection_survives() {
 fn pipelined_responses_come_back_in_request_order() {
     let server = start_server(test_config());
     let mut client = connect(&server);
-    let query = families::star(3);
+    let oracle = Engine::new(EngineConfig::default());
+    let (star, path) = (families::star(3), families::path(4));
     let database = cq_workloads::random_graph_structure(10, 0.4, 2);
+    let other = cq_workloads::random_graph_structure(9, 0.35, 5);
+    let mut query = cq_structures::ConjunctiveQuery::from_structure(&path);
+    for v in [query.variables()[0].clone(), query.variables()[3].clone()] {
+        query.mark_free(v).expect("path variables exist");
+    }
+    let pairs = [(&star, &database), (&path, &other), (&star, &other)];
+    let items: Vec<_> = pairs
+        .iter()
+        .map(|&(q, d)| (QuerySpec::Inline(q.clone()), d.clone()))
+        .collect();
+    let inline = |q: &cq_structures::Structure| QuerySpec::Inline(q.clone());
 
-    // Ship a window of heterogeneous requests without reading, then
-    // collect: the response kinds must replay the request order exactly.
-    client.send(&Request::Ping).expect("send");
-    client
-        .send(&Request::Decide {
-            query: QuerySpec::Inline(query.clone()),
-            database: database.clone(),
-        })
-        .expect("send");
-    client.send(&Request::Stats).expect("send");
-    client
-        .send(&Request::Count {
-            query: QuerySpec::Inline(query),
-            database,
-        })
-        .expect("send");
-    client.send(&Request::Ping).expect("send");
-
-    assert!(matches!(client.receive().expect("r0"), Response::Pong));
-    assert!(matches!(
-        client.receive().expect("r1"),
-        Response::Decision(_)
-    ));
-    assert!(matches!(client.receive().expect("r2"), Response::Stats(_)));
-    assert!(matches!(client.receive().expect("r3"), Response::Count(_)));
-    assert!(matches!(client.receive().expect("r4"), Response::Pong));
+    // One unread window holding every engine-bound job kind, mixed with
+    // requests answered inline, paired with the in-process engine's
+    // answer (`None` for the stats snapshots, checked by kind only).
+    let window = [
+        (Request::Ping, Some(Response::Pong)),
+        (
+            Request::Decide {
+                query: inline(&star),
+                database: database.clone(),
+            },
+            Some(Response::Decision(oracle.solve(&star, &database))),
+        ),
+        (Request::Stats, None),
+        (
+            Request::Count {
+                query: inline(&path),
+                database: database.clone(),
+            },
+            Some(Response::Count(oracle.count_instance(&path, &database))),
+        ),
+        (
+            Request::DecideBatch {
+                items: items.clone(),
+            },
+            Some(Response::DecideBatch(
+                pairs.iter().map(|&(q, d)| oracle.solve(q, d)).collect(),
+            )),
+        ),
+        (
+            Request::CountBatch { items },
+            Some(Response::CountBatch(
+                pairs
+                    .iter()
+                    .map(|&(q, d)| oracle.count_instance(q, d))
+                    .collect(),
+            )),
+        ),
+        (Request::Ping, Some(Response::Pong)),
+        (
+            Request::CountAnswers {
+                query: query.clone(),
+                database: other.clone(),
+            },
+            Some(Response::AnswerCount(oracle.count_answers(&query, &other))),
+        ),
+        (
+            Request::Answers {
+                query: query.clone(),
+                database: other.clone(),
+                offset: 1,
+                limit: 4,
+            },
+            Some(Response::Answers(oracle.answers(&query, &other, 1, 4))),
+        ),
+        (Request::Stats, None),
+    ];
+    for (request, _) in &window {
+        client.send(request).expect("send");
+    }
+    for (i, (_, want)) in window.iter().enumerate() {
+        let got = client.receive().unwrap_or_else(|e| panic!("r{i}: {e}"));
+        match want {
+            Some(want) => assert_eq!(&got, want, "r{i}"),
+            None => assert!(matches!(got, Response::Stats(_)), "r{i}: {got:?}"),
+        }
+    }
     server.shutdown().expect("graceful shutdown");
 }
 

@@ -85,7 +85,7 @@
 
 use cq_decomp::{EliminationForest, PathDecomposition, TreeDecomposition};
 use cq_structures::SymbolId;
-use cq_structures::{AppliedDelta, Element, Structure, StructureIndex, TupleWeights};
+use cq_structures::{AppliedDelta, Element, IndexState, Structure, StructureIndex, TupleWeights};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -1175,11 +1175,10 @@ pub struct AnswerProgram {
     /// Per free element: a `reducer` bag id holding it, and its position in
     /// that bag's row order.
     free_sites: Vec<(usize, usize)>,
-    /// The viable domains of the last index state reduced, keyed by the
-    /// structure's content token: it names one content state, whereas one
-    /// version number can be reached by two clones of an index that took
-    /// different deltas.
-    viable: Mutex<Option<(u64, ViableDomains)>>,
+    /// The viable domains of the last index state reduced, keyed by
+    /// [`StructureIndex::state`]: one version number can be reached by two
+    /// clones of an index that took different deltas, a state cannot.
+    viable: Mutex<Option<(IndexState, ViableDomains)>>,
     /// Width of the answer closure.
     width: usize,
 }
@@ -1347,17 +1346,17 @@ impl AnswerProgram {
             self.reducer.index_id,
             "program run on a foreign index"
         );
-        let token = index.structure().content_token();
+        let state = index.state();
         let Ok(mut slot) = self.viable.try_lock() else {
             return self.reduce(index).into();
         };
         if let Some((seen, domains)) = slot.as_ref() {
-            if *seen == token {
+            if *seen == state {
                 return Arc::clone(domains);
             }
         }
         let domains: ViableDomains = self.reduce(index).into();
-        *slot = Some((token, Arc::clone(&domains)));
+        *slot = Some((state, Arc::clone(&domains)));
         domains
     }
 
@@ -1619,7 +1618,7 @@ impl Iterator for AnswerCursor<'_> {
 
 /// Retained evaluation state of one `(TreeDpProgram, semiring)` pair: the
 /// per-edge separator group tables of every non-root bag plus the root
-/// total, stamped with the index version (and domain epoch) they reflect.
+/// total, stamped with the index state (and domain epoch) they reflect.
 ///
 /// [`TreeDpProgram::eval_retained`] builds this on first call and then
 /// catches it up through the index's mutation log: only bags whose
@@ -1628,8 +1627,10 @@ impl Iterator for AnswerCursor<'_> {
 /// semirings only — weights are per-call, so a retained table would pin
 /// one weighting.
 pub struct TreeIncrementalState<V> {
-    /// The [`StructureIndex::version`] these tables were computed at.
-    version: u64,
+    /// The [`StructureIndex::state`] these tables were computed at — a
+    /// version plus a content token, so a clone of the index on another
+    /// branch at the same version rebuilds instead of reading them.
+    state: IndexState,
     /// The [`StructureIndex::domain_epoch`] the program's baked domains
     /// assume; an epoch bump invalidates the whole state.
     epoch: u64,
@@ -1643,7 +1644,7 @@ pub struct TreeIncrementalState<V> {
 impl<V> TreeIncrementalState<V> {
     /// The index version this state is synchronized with.
     pub fn version(&self) -> u64 {
-        self.version
+        self.state.version
     }
 
     /// The retained root aggregate.
@@ -2027,7 +2028,7 @@ impl TreeDpProgram {
         stats: &mut RetainedEvalStats,
     ) -> TreeIncrementalState<S::Value> {
         let mut st = TreeIncrementalState {
-            version: index.version(),
+            state: index.state(),
             epoch: index.domain_epoch(),
             edge_tables: (0..self.n_bags).map(|_| None).collect(),
             root_value: S::zero(),
@@ -2075,7 +2076,7 @@ impl TreeDpProgram {
             return (S::zero(), stats);
         }
         let muts = match state.as_ref() {
-            Some(st) if st.epoch == index.domain_epoch() => index.mutations_since(st.version),
+            Some(st) if st.epoch == index.domain_epoch() => index.mutations_since(st.state),
             _ => None,
         };
         let Some(muts) = muts else {
@@ -2094,7 +2095,7 @@ impl TreeDpProgram {
             }
         }
         if touched.is_empty() {
-            st.version = index.version();
+            st.state = index.state();
             stats.bags_reused = self.bags.len();
             return (st.root_value.clone(), stats);
         }
@@ -2182,7 +2183,7 @@ impl TreeDpProgram {
                 }
             }
         }
-        st.version = index.version();
+        st.state = index.state();
         (st.root_value.clone(), stats)
     }
 }

@@ -42,6 +42,10 @@ use std::sync::Arc;
 /// Process-unique index identities, used to key compiled-program caches.
 static NEXT_INDEX_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Process-unique domain epochs, drawn when a delta grows a position
+/// domain (0 is every fresh build's epoch).
+static NEXT_DOMAIN_EPOCH: AtomicU64 = AtomicU64::new(1);
+
 /// Process-wide count of full index builds (one per
 /// [`StructureIndex::from_arc`] sweep).  The incremental path mutates
 /// indexes in place, so benches and tests assert this counter does *not*
@@ -295,6 +299,22 @@ impl RelationIndex {
     }
 }
 
+/// One exact content state of an index: its [version](StructureIndex::version)
+/// plus the [content token](Structure::content_token) of the structure at
+/// that version.  The version alone does not name a state: two clones of
+/// one index that take different deltas reach the same version with
+/// different content, and only the token tells them apart.  Consumers that
+/// retain state derived from an index stamp it with this and catch up
+/// through [`StructureIndex::mutations_since`], which refuses an anchor
+/// from another branch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexState {
+    /// The index version of the state.
+    pub version: u64,
+    /// The structure's content token in the state.
+    pub token: u64,
+}
+
 /// An immutable read index over one target structure: row hash tables plus
 /// CSR posting lists (see the module docs).  Build once with
 /// [`StructureIndex::new`] or [`StructureIndex::from_arc`], share via `Arc`
@@ -306,15 +326,19 @@ pub struct StructureIndex {
     relations: Vec<RelationIndex>,
     /// Monotone state generation: bumped by every [`StructureIndex::apply_delta`].
     version: u64,
-    /// Bumped only when a delta *grows* some position domain (an element's
-    /// posting list goes 0 → non-zero).  Compiled programs bake position
-    /// domains at compile time; deletions leave baked domains as sound
-    /// supersets, so programs stay valid within one epoch and are
-    /// recompiled only when the epoch moves.
+    /// Redrawn (process-unique) only when a delta *grows* some position
+    /// domain (an element's posting list goes 0 → non-zero).  Compiled
+    /// programs bake position domains at compile time; deletions leave
+    /// baked domains as sound supersets, so programs stay valid within one
+    /// epoch and are recompiled only when the epoch moves.  Unique draws
+    /// keep two clones that grow different domains on different epochs.
     domain_epoch: u64,
     /// Recent mutations, newest last, for consumers catching up retained DP
     /// state (bounded by [`MUTATION_LOG_CAP`]).
     log: VecDeque<Arc<AppliedDelta>>,
+    /// The content token of the state just before `log`'s oldest entry
+    /// (the build's token until the log first overflows).
+    log_base: u64,
 }
 
 impl StructureIndex {
@@ -337,11 +361,12 @@ impl StructureIndex {
             .collect();
         StructureIndex {
             id: NEXT_INDEX_ID.fetch_add(1, Ordering::Relaxed),
-            structure: b,
             relations,
             version: 0,
             domain_epoch: 0,
             log: VecDeque::new(),
+            log_base: b.content_token(),
+            structure: b,
         }
     }
 
@@ -448,39 +473,59 @@ impl StructureIndex {
     }
 
     /// The index's state generation: 0 for a fresh build, +1 per applied
-    /// delta batch.  `(id, version)` names one exact content state.
+    /// delta batch.  Clones that take different deltas share versions, so
+    /// a version alone does not name a content state; [`Self::state`]
+    /// does.
     pub fn version(&self) -> u64 {
         self.version
     }
 
-    /// The index's domain epoch: bumped only when a delta grows some
-    /// position domain.  Compiled-program caches key on
-    /// `(id, domain_epoch)` so programs survive data churn within existing
-    /// domains and are recompiled exactly when a baked domain could be
-    /// stale.
+    /// The current content state (see [`IndexState`]).
+    pub fn state(&self) -> IndexState {
+        IndexState {
+            version: self.version,
+            token: self.structure.content_token(),
+        }
+    }
+
+    /// The index's domain epoch: 0 for a fresh build, redrawn (unique per
+    /// process) only when a delta grows some position domain.
+    /// Compiled-program caches key on `(id, domain_epoch)` so programs
+    /// survive data churn within existing domains and are recompiled
+    /// exactly when a baked domain could be stale.
     pub fn domain_epoch(&self) -> u64 {
         self.domain_epoch
     }
 
-    /// The mutations leading from state `version` to the current state,
-    /// oldest first.  `Some(vec![])` when already current; `None` when the
-    /// bounded log no longer covers the gap (the consumer must rebuild its
-    /// derived state from scratch).
-    pub fn mutations_since(&self, version: u64) -> Option<Vec<Arc<AppliedDelta>>> {
-        if version > self.version {
-            return None;
-        }
-        let gap = (self.version - version) as usize;
-        if gap > self.log.len() {
-            return None;
-        }
-        Some(
-            self.log
-                .iter()
-                .skip(self.log.len() - gap)
-                .cloned()
-                .collect(),
-        )
+    /// Whether `anchor` is the current state or one this index passed
+    /// through within its mutation log's reach — `false` for an anchor on
+    /// another branch (a clone that took different deltas), a future one,
+    /// or one the bounded log no longer covers.
+    pub fn descends_from(&self, anchor: IndexState) -> bool {
+        self.gap_since(anchor).is_some()
+    }
+
+    /// The mutations leading from state `anchor` to the current state,
+    /// oldest first.  `Some(vec![])` when already current; `None` exactly
+    /// when [`Self::descends_from`] is `false`, and the consumer must
+    /// rebuild its derived state from scratch.
+    pub fn mutations_since(&self, anchor: IndexState) -> Option<Vec<Arc<AppliedDelta>>> {
+        let gap = self.gap_since(anchor)?;
+        Some(self.log.range(self.log.len() - gap..).cloned().collect())
+    }
+
+    /// The number of logged mutations between `anchor` and now, when the
+    /// anchor lies on this index's own history.
+    fn gap_since(&self, anchor: IndexState) -> Option<usize> {
+        let gap = self.version.checked_sub(anchor.version)? as usize;
+        let len = self.log.len();
+        let token = match gap {
+            0 => self.structure.content_token(),
+            g if g < len => self.log[len - g - 1].token,
+            g if g == len => self.log_base,
+            _ => return None,
+        };
+        (token == anchor.token).then_some(gap)
     }
 
     /// Apply a batch of tuple mutations **in place**: all deletions first
@@ -557,7 +602,7 @@ impl StructureIndex {
         structure.set_content_token(token);
         self.version += 1;
         if domain_grew {
-            self.domain_epoch += 1;
+            self.domain_epoch = NEXT_DOMAIN_EPOCH.fetch_add(1, Ordering::Relaxed);
         }
         let applied = Arc::new(AppliedDelta {
             token,
@@ -567,7 +612,8 @@ impl StructureIndex {
         });
         self.log.push_back(Arc::clone(&applied));
         if self.log.len() > MUTATION_LOG_CAP {
-            self.log.pop_front();
+            let dropped = self.log.pop_front().expect("log over its cap");
+            self.log_base = dropped.token;
         }
         Ok(applied)
     }
@@ -742,7 +788,7 @@ mod tests {
         let mut grow = crate::DeltaBatch::new();
         grow.insert(e, vec![4, 0]);
         idx.apply_delta(&grow).unwrap();
-        assert_eq!(idx.domain_epoch(), 1);
+        assert_ne!(idx.domain_epoch(), 0);
         assert_eq!(idx.elements_at(e, 0), &[0, 1, 2, 3, 4]);
     }
 
@@ -751,29 +797,60 @@ mod tests {
         let b = families::cycle(6);
         let e = b.vocabulary().id_of("E").unwrap();
         let mut idx = StructureIndex::new(&b);
-        assert_eq!(idx.mutations_since(0).unwrap().len(), 0);
+        let base = idx.state();
+        assert_eq!(idx.mutations_since(base).unwrap().len(), 0);
         let mut batch = crate::DeltaBatch::new();
         batch.delete(e, vec![0, 1]);
         let first = idx.apply_delta(&batch).unwrap();
+        let after_first = idx.state();
         let mut batch2 = crate::DeltaBatch::new();
         batch2.insert(e, vec![0, 1]);
         let second = idx.apply_delta(&batch2).unwrap();
-        let both = idx.mutations_since(0).unwrap();
+        let both = idx.mutations_since(base).unwrap();
         assert_eq!(both.len(), 2);
         assert_eq!(both[0], first);
         assert_eq!(both[1], second);
-        assert_eq!(idx.mutations_since(1).unwrap(), vec![second]);
-        assert_eq!(idx.mutations_since(2).unwrap().len(), 0);
-        assert!(idx.mutations_since(99).is_none(), "future version");
+        assert_eq!(idx.mutations_since(after_first).unwrap(), vec![second]);
+        assert_eq!(idx.mutations_since(idx.state()).unwrap().len(), 0);
+        let future = IndexState {
+            version: 99,
+            ..idx.state()
+        };
+        assert!(idx.mutations_since(future).is_none(), "future version");
+        let mut states = Vec::new();
         for _ in 0..(MUTATION_LOG_CAP + 4) {
+            states.push(idx.state());
             let mut b = crate::DeltaBatch::new();
             b.delete(e, vec![1, 2]).insert(e, vec![1, 2]);
             idx.apply_delta(&b).unwrap();
         }
-        assert!(idx.mutations_since(0).is_none(), "log is bounded");
-        assert!(idx
-            .mutations_since(idx.version() - MUTATION_LOG_CAP as u64)
-            .is_some());
+        assert!(idx.mutations_since(base).is_none(), "log is bounded");
+        let oldest_covered = states[states.len() - MUTATION_LOG_CAP];
+        assert_eq!(
+            idx.mutations_since(oldest_covered).map(|m| m.len()),
+            Some(MUTATION_LOG_CAP)
+        );
+        let just_dropped = states[states.len() - MUTATION_LOG_CAP - 1];
+        assert!(idx.mutations_since(just_dropped).is_none());
+    }
+
+    #[test]
+    fn mutations_since_refuses_an_anchor_from_another_branch() {
+        let b = families::cycle(6);
+        let e = b.vocabulary().id_of("E").unwrap();
+        let mut a = StructureIndex::new(&b);
+        let (fork, mut other) = (a.state(), a.clone());
+        a.apply_delta(crate::DeltaBatch::new().insert(e, vec![0, 3]))
+            .unwrap();
+        other
+            .apply_delta(crate::DeltaBatch::new().delete(e, vec![0, 1]))
+            .unwrap();
+        // Same id and version, different content: the fork point is an
+        // ancestor of both branches, neither branch of the other.
+        assert_eq!((a.id(), a.version()), (other.id(), other.version()));
+        assert_eq!(a.mutations_since(fork).map(|m| m.len()), Some(1));
+        assert_eq!(other.mutations_since(fork).map(|m| m.len()), Some(1));
+        assert!(!other.descends_from(a.state()) && !a.descends_from(other.state()));
     }
 
     #[test]

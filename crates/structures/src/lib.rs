@@ -57,7 +57,7 @@ pub use homomorphism::{
     find_homomorphism, homomorphism_exists, homomorphisms_iter, is_homomorphism,
     is_partial_homomorphism, PartialHom,
 };
-pub use index::{index_build_count, structure_hash, StructureIndex};
+pub use index::{index_build_count, structure_hash, IndexState, StructureIndex};
 pub use ops::{direct_product, disjoint_union, relabeled, star_expansion, symmetric_closure};
 pub use structure::{Element, Relation, Structure, Tuple};
 pub use vocabulary::{RelationSymbol, SymbolId, Vocabulary};

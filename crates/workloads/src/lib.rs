@@ -152,7 +152,7 @@ pub struct BatchWorkload {
 
 impl BatchWorkload {
     /// The instances of the trace as structure pairs, borrowed from the
-    /// workload (the shape `Engine::solve_batch_instances` consumes).
+    /// workload (the item shape `Engine::batch` fans out to `Engine::solve`).
     pub fn instances(&self) -> Vec<(&Structure, &Structure)> {
         self.trace
             .iter()
@@ -240,7 +240,7 @@ pub fn concurrent_query_traffic(
 /// A counting traffic trace whose every instance has a **closed-form
 /// expected count** — the counting analogue of [`BatchWorkload`], used by
 /// the counting differential tests and bench E15 to verify
-/// `Engine::count_batch` end to end, not merely exercise it.
+/// `Engine::count_instance` end to end, not merely exercise it.
 #[derive(Debug, Clone)]
 pub struct CountingWorkload {
     /// The distinct query structures (each index recurs many times in the
@@ -258,7 +258,8 @@ pub struct CountingWorkload {
 
 impl CountingWorkload {
     /// The instances of the trace as structure pairs, borrowed from the
-    /// workload (the shape `Engine::count_batch` consumes).
+    /// workload (the item shape `Engine::batch` fans out to
+    /// `Engine::count_instance`).
     pub fn instances(&self) -> Vec<(&Structure, &Structure)> {
         self.trace
             .iter()
@@ -384,8 +385,8 @@ pub struct WeightedWorkload {
 
 impl WeightedWorkload {
     /// The instances of the trace as (query, database, weights) triples,
-    /// borrowed from the workload (the shape `Engine::aggregate_batch`
-    /// consumes).
+    /// borrowed from the workload (the item shape `Engine::batch` fans out
+    /// to `Engine::aggregate`).
     pub fn instances(&self) -> Vec<(&Structure, &Structure, &cq_structures::TupleWeights)> {
         self.trace
             .iter()

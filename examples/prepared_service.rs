@@ -43,7 +43,7 @@ fn main() {
         .iter()
         .map(|&(q, d)| (ids[q], &traffic.databases[d]))
         .collect();
-    let reports = engine.solve_batch(&batch);
+    let reports = engine.batch(&batch, |e, &(id, d)| e.solve_prepared(&e.prepared(id), d));
 
     let satisfied = reports.iter().filter(|r| r.exists).count();
     println!(

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use cq_fine::classification::{solve_instance, EngineConfig};
+use cq_fine::classification::{Engine, EngineConfig};
 use cq_fine::decomp::width_profile_of_structure;
 use cq_fine::workloads;
 
@@ -29,7 +29,8 @@ fn main() {
         widths.treewidth, widths.pathwidth, widths.treedepth
     );
 
-    let report = solve_instance(&canonical, &db, EngineConfig::default());
+    let engine = Engine::new(EngineConfig::default());
+    let report = engine.solve(&canonical, &db);
     println!(
         "engine chose {:?} (degree hint {:?}); query is {} on this database",
         report.choice,
@@ -44,7 +45,7 @@ fn main() {
     let star = workloads::star_join_query(5, 2)
         .canonical_structure()
         .unwrap();
-    let star_report = solve_instance(&star, &db, EngineConfig::default());
+    let star_report = engine.solve(&star, &db);
     println!(
         "star join query: chose {:?}, answer {}",
         star_report.choice, star_report.exists

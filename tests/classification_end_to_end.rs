@@ -2,7 +2,7 @@
 //! family, then solve instances with the licensed algorithm and cross-check
 //! every answer against the reference solver.
 
-use cq_fine::classification::{classify_generated, solve_instance, Degree, EngineConfig};
+use cq_fine::classification::{classify_generated, Degree, Engine, EngineConfig};
 use cq_fine::structures::{families, homomorphism_exists, star_expansion};
 
 #[test]
@@ -43,9 +43,10 @@ fn engine_matches_reference_on_a_grid_of_instances() {
         families::grid(3, 3),
         families::directed_cycle(6),
     ];
+    let engine = Engine::new(EngineConfig::default());
     for a in &queries {
         for b in &targets {
-            let report = solve_instance(a, b, EngineConfig::default());
+            let report = engine.solve(a, b);
             assert_eq!(report.exists, homomorphism_exists(a, b), "{a} -> {b}");
         }
     }

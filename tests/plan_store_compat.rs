@@ -73,11 +73,11 @@ fn golden_fixture_warm_starts_todays_engine_with_zero_preparation() {
         .iter()
         .flat_map(|q| targets.iter().map(move |t| (q, t)))
         .collect();
-    let reports = engine.solve_batch_instances(&batch);
+    let reports = engine.batch(&batch, |e, &(q, d)| e.solve(q, d));
     for ((q, t), report) in batch.iter().zip(&reports) {
         assert_eq!(report.exists, homomorphism_exists(q, t), "{q} -> {t}");
     }
-    let counts = engine.count_batch(&batch);
+    let counts = engine.batch(&batch, |e, &(q, d)| e.count_instance(q, d));
     for ((q, t), count) in batch.iter().zip(&counts) {
         assert_eq!(
             count.count.positive(),

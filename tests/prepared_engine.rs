@@ -28,7 +28,7 @@ fn batch_workflow_through_the_facade() {
         .iter()
         .flat_map(|t| ids.iter().map(move |&id| (id, t)))
         .collect();
-    let reports = engine.solve_batch(&batch);
+    let reports = engine.batch(&batch, |e, &(id, d)| e.solve_prepared(&e.prepared(id), d));
     assert_eq!(reports.len(), batch.len());
 
     let queries = [&star, &colored_path, &clique];

@@ -6,7 +6,7 @@
 //! exactly; the failing `(n, seed)` pair is in every assertion message).
 
 use cq_fine::classification::AggregateObjective::MinCost;
-use cq_fine::classification::{Engine, EngineConfig};
+use cq_fine::classification::{Engine, EngineConfig, QueryId};
 use cq_fine::decomp::width_profile;
 use cq_fine::graphs::gaifman_graph;
 use cq_fine::solver::treedec::{count_hom_via_tree_decomposition, hom_via_tree_decomposition};
@@ -90,7 +90,7 @@ fn solvers_agree() {
     }
 }
 
-/// Parallel determinism: `solve_batch_instances` with `workers = 1` and
+/// Parallel determinism: `Engine::batch` over `solve` with `workers = 1` and
 /// `workers = N` produce identical `EngineReport` sequences on random
 /// batches — the parallel fan-out changes wall-clock, never results or
 /// their order.  Exercised over several seeded workloads and worker counts.
@@ -104,13 +104,13 @@ fn parallel_batch_reports_equal_sequential_reports() {
             workers: 1,
             ..EngineConfig::default()
         });
-        let expected = sequential.solve_batch_instances(&instances);
+        let expected = sequential.batch(&instances, |e, &(q, d)| e.solve(q, d));
         for workers in [2usize, 4, 8] {
             let parallel = Engine::new(EngineConfig {
                 workers,
                 ..EngineConfig::default()
             });
-            let got = parallel.solve_batch_instances(&instances);
+            let got = parallel.batch(&instances, |e, &(q, d)| e.solve(q, d));
             assert_eq!(
                 got, expected,
                 "workers={workers} diverged from sequential (seed={seed})"
@@ -125,7 +125,7 @@ fn parallel_batch_reports_equal_sequential_reports() {
     }
 }
 
-/// The registered-handle batch API is deterministic across worker counts as
+/// Batches over registered handles are deterministic across worker counts as
 /// well, including the order of reports for interleaved query handles.
 #[test]
 fn parallel_registered_batch_is_deterministic() {
@@ -150,9 +150,12 @@ fn parallel_registered_batch_is_deterministic() {
         .iter()
         .flat_map(|db| par_ids.iter().map(move |&id| (id, db)))
         .collect();
+    let solve_registered = |engine: &Engine, batch: &[(QueryId, &Structure)]| {
+        engine.batch(batch, |e, &(id, d)| e.solve_prepared(&e.prepared(id), d))
+    };
     assert_eq!(
-        seq_engine.solve_batch(&seq_batch),
-        par_engine.solve_batch(&par_batch)
+        solve_registered(&seq_engine, &seq_batch),
+        solve_registered(&par_engine, &par_batch)
     );
 }
 
@@ -179,8 +182,8 @@ fn counting_is_positive_exactly_when_decision_succeeds() {
             workers,
             ..EngineConfig::default()
         });
-        let decisions = engine.solve_batch_instances(&pairs);
-        let counts = engine.count_batch(&pairs);
+        let decisions = engine.batch(&pairs, |e, &(q, d)| e.solve(q, d));
+        let counts = engine.batch(&pairs, |e, &(q, d)| e.count_instance(q, d));
         for (((a, b), decision), count) in pairs.iter().zip(&decisions).zip(&counts) {
             let (an, aseed, _) = digraphs
                 .iter()
@@ -223,11 +226,11 @@ fn kernel_results_are_bit_identical_across_workers_1_and_4() {
     };
     let sequential = make_engine(1);
     let parallel = make_engine(4);
-    let seq_decisions = sequential.solve_batch_instances(&instances);
-    let par_decisions = parallel.solve_batch_instances(&instances);
+    let seq_decisions = sequential.batch(&instances, |e, &(q, d)| e.solve(q, d));
+    let par_decisions = parallel.batch(&instances, |e, &(q, d)| e.solve(q, d));
     assert_eq!(seq_decisions, par_decisions);
-    let seq_counts = sequential.count_batch(&instances);
-    let par_counts = parallel.count_batch(&instances);
+    let seq_counts = sequential.batch(&instances, |e, &(q, d)| e.count_instance(q, d));
+    let par_counts = parallel.batch(&instances, |e, &(q, d)| e.count_instance(q, d));
     assert_eq!(seq_counts, par_counts);
     // The kernel answers are the brute-force truth on every instance.
     for ((q, t), (decision, count)) in instances.iter().zip(seq_decisions.iter().zip(&seq_counts)) {
