@@ -35,7 +35,7 @@
 use cq_bench::{json_field_f64, median_time, quick_mode, timing_runs};
 use cq_core::{EngineConfig, PreparedQuery};
 use cq_solver::backtrack::BacktrackSolver as ReferenceBacktrack;
-use cq_solver::kernel;
+use cq_solver::kernel::{ForestProgram, SearchProgram, StairProgram, TreeDpProgram};
 use cq_structures::{Structure, StructureIndex};
 use cq_workloads::kernel_stress_traffic;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -145,12 +145,9 @@ fn bench(c: &mut Criterion) {
                 ) as u64
             },
             |p, idx| {
-                kernel::hom_via_tree_decomposition_indexed(
-                    p.evaluated(),
-                    idx,
-                    &p.analysis().tree_decomposition,
-                )
-                .exists as u64
+                TreeDpProgram::compile(p.evaluated(), idx, &p.analysis().tree_decomposition)
+                    .decide(idx)
+                    .exists as u64
             },
         ),
         measure(
@@ -164,13 +161,10 @@ fn bench(c: &mut Criterion) {
                 )
             },
             |p, idx| {
-                kernel::count_hom_via_tree_decomposition_indexed(
-                    p.original(),
-                    idx,
-                    &p.counting_analysis().tree_decomposition,
-                )
-                .count
-                .expect_finite()
+                TreeDpProgram::compile(p.original(), idx, &p.counting_analysis().tree_decomposition)
+                    .count(idx)
+                    .count
+                    .expect_finite()
             },
         ),
         measure(
@@ -180,7 +174,9 @@ fn bench(c: &mut Criterion) {
                 cq_solver::pathdp::hom_via_staircase(p.evaluated(), t, p.staircase()).exists as u64
             },
             |p, idx| {
-                kernel::hom_via_staircase_indexed(p.evaluated(), idx, p.staircase()).exists as u64
+                StairProgram::compile(p.evaluated(), idx, p.staircase())
+                    .run(idx)
+                    .exists as u64
             },
         ),
         measure(
@@ -194,13 +190,10 @@ fn bench(c: &mut Criterion) {
                 )
             },
             |p, idx| {
-                kernel::count_with_forest_indexed(
-                    p.original(),
-                    idx,
-                    &p.counting_analysis().elimination_forest,
-                )
-                .count
-                .expect_finite()
+                ForestProgram::compile(p.original(), idx, &p.counting_analysis().elimination_forest)
+                    .count(idx)
+                    .count
+                    .expect_finite()
             },
         ),
         measure(
@@ -208,7 +201,8 @@ fn bench(c: &mut Criterion) {
             &instances,
             |p, t| ReferenceBacktrack::default().exists(p.evaluated(), t) as u64,
             |p, idx| {
-                kernel::find_hom_indexed(p.evaluated(), idx, true)
+                SearchProgram::compile(p.evaluated(), idx, true)
+                    .run(idx)
                     .0
                     .is_some() as u64
             },
@@ -266,11 +260,12 @@ fn bench(c: &mut Criterion) {
                 instances
                     .iter()
                     .map(|(p, _, idx)| {
-                        kernel::count_hom_via_tree_decomposition_indexed(
+                        TreeDpProgram::compile(
                             p.original(),
                             idx,
                             &p.counting_analysis().tree_decomposition,
                         )
+                        .count(idx)
                         .count
                         .expect_finite()
                     })

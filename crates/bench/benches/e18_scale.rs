@@ -37,10 +37,7 @@
 
 use cq_bench::{json_field_f64, median_time, quick_mode, timing_runs};
 use cq_core::{Engine, EngineConfig, PreparedQuery};
-use cq_solver::{
-    count_hom_via_tree_decomposition_indexed, hom_via_tree_decomposition_indexed,
-    program_compilation_count,
-};
+use cq_solver::{program_compilation_count, TreeDpProgram};
 use cq_structures::{
     count_homomorphisms_bruteforce, homomorphism_exists, Structure, StructureIndex,
 };
@@ -119,16 +116,18 @@ fn warm_pass(family: &Family, index: &StructureIndex) {
 /// which compile a fresh program per call (the pre-cache engine behaviour).
 fn recompile_pass(family: &Family, index: &StructureIndex) {
     for plan in &family.plans {
-        std::hint::black_box(hom_via_tree_decomposition_indexed(
-            plan.evaluated(),
-            index,
-            &plan.analysis().tree_decomposition,
-        ));
-        std::hint::black_box(count_hom_via_tree_decomposition_indexed(
-            plan.original(),
-            index,
-            &plan.counting_analysis().tree_decomposition,
-        ));
+        std::hint::black_box(
+            TreeDpProgram::compile(plan.evaluated(), index, &plan.analysis().tree_decomposition)
+                .decide(index),
+        );
+        std::hint::black_box(
+            TreeDpProgram::compile(
+                plan.original(),
+                index,
+                &plan.counting_analysis().tree_decomposition,
+            )
+            .count(index),
+        );
     }
 }
 
@@ -181,18 +180,20 @@ fn run_scale(scale: &Scale, config: &EngineConfig) -> ScaleReport {
     for family in &families {
         for plan in &family.plans {
             let warm_decide = plan.decide_via_tree(&index);
-            let fresh_decide = hom_via_tree_decomposition_indexed(
+            let fresh_decide = TreeDpProgram::compile(
                 plan.evaluated(),
                 &index,
                 &plan.analysis().tree_decomposition,
-            );
+            )
+            .decide(&index);
             assert_eq!(warm_decide.exists, fresh_decide.exists, "{}", family.name);
             let warm_count = plan.count_via_tree(&index);
-            let fresh_count = count_hom_via_tree_decomposition_indexed(
+            let fresh_count = TreeDpProgram::compile(
                 plan.original(),
                 &index,
                 &plan.counting_analysis().tree_decomposition,
-            );
+            )
+            .count(&index);
             assert_eq!(warm_count.count, fresh_count.count, "{}", family.name);
             comparisons += 2;
         }

@@ -37,7 +37,7 @@
 
 use cq_bench::{json_field_f64, median_time, min_time, quick_mode, timing_runs};
 use cq_core::{EngineConfig, PreparedQuery};
-use cq_solver::kernel;
+use cq_solver::kernel::{ForestProgram, SearchProgram, StairProgram, TreeDpProgram};
 use cq_solver::{GroupTable, MaxWeightSemiring, MinCostSemiring};
 use cq_structures::{Structure, StructureIndex, TupleWeights};
 use cq_workloads::kernel_stress_traffic;
@@ -194,43 +194,41 @@ fn bench(c: &mut Criterion) {
         for objective in ["min", "max"] {
             let (tree, forest, search) = if objective == "min" {
                 (
-                    kernel::aggregate_via_tree_decomposition_indexed::<MinCostSemiring>(
+                    TreeDpProgram::compile(
                         prepared.original(),
                         index,
                         &counting.tree_decomposition,
-                        weights,
-                    ),
-                    kernel::aggregate_with_forest_indexed::<MinCostSemiring>(
+                    )
+                    .eval::<MinCostSemiring>(index, Some(weights))
+                    .0,
+                    ForestProgram::compile(
                         prepared.original(),
                         index,
                         &counting.elimination_forest,
-                        weights,
-                    ),
-                    kernel::aggregate_via_search_indexed::<MinCostSemiring>(
-                        prepared.original(),
-                        index,
-                        weights,
-                    ),
+                    )
+                    .eval::<MinCostSemiring>(index, Some(weights), &mut 0),
+                    SearchProgram::compile(prepared.original(), index, true)
+                        .aggregate::<MinCostSemiring>(index, Some(weights))
+                        .0,
                 )
             } else {
                 (
-                    kernel::aggregate_via_tree_decomposition_indexed::<MaxWeightSemiring>(
+                    TreeDpProgram::compile(
                         prepared.original(),
                         index,
                         &counting.tree_decomposition,
-                        weights,
-                    ),
-                    kernel::aggregate_with_forest_indexed::<MaxWeightSemiring>(
+                    )
+                    .eval::<MaxWeightSemiring>(index, Some(weights))
+                    .0,
+                    ForestProgram::compile(
                         prepared.original(),
                         index,
                         &counting.elimination_forest,
-                        weights,
-                    ),
-                    kernel::aggregate_via_search_indexed::<MaxWeightSemiring>(
-                        prepared.original(),
-                        index,
-                        weights,
-                    ),
+                    )
+                    .eval::<MaxWeightSemiring>(index, Some(weights), &mut 0),
+                    SearchProgram::compile(prepared.original(), index, true)
+                        .aggregate::<MaxWeightSemiring>(index, Some(weights))
+                        .0,
                 )
             };
             assert_eq!(
@@ -255,59 +253,48 @@ fn bench(c: &mut Criterion) {
     let baseline = e16_baseline();
     let rows = vec![
         measure("treedec_decide", &instances, &baseline, |p, idx, _| {
-            kernel::hom_via_tree_decomposition_indexed(
-                p.evaluated(),
-                idx,
-                &p.analysis().tree_decomposition,
-            )
-            .exists as u64
+            TreeDpProgram::compile(p.evaluated(), idx, &p.analysis().tree_decomposition)
+                .decide(idx)
+                .exists as u64
         }),
         measure("treedec_count", &instances, &baseline, |p, idx, _| {
-            kernel::count_hom_via_tree_decomposition_indexed(
-                p.original(),
-                idx,
-                &p.counting_analysis().tree_decomposition,
-            )
-            .count
-            .expect_finite()
+            TreeDpProgram::compile(p.original(), idx, &p.counting_analysis().tree_decomposition)
+                .count(idx)
+                .count
+                .expect_finite()
         }),
         measure("pathdp_decide", &instances, &baseline, |p, idx, _| {
-            kernel::hom_via_staircase_indexed(p.evaluated(), idx, p.staircase()).exists as u64
+            StairProgram::compile(p.evaluated(), idx, p.staircase())
+                .run(idx)
+                .exists as u64
         }),
         measure("forest_count", &instances, &baseline, |p, idx, _| {
-            kernel::count_with_forest_indexed(
-                p.original(),
-                idx,
-                &p.counting_analysis().elimination_forest,
-            )
-            .count
-            .expect_finite()
+            ForestProgram::compile(p.original(), idx, &p.counting_analysis().elimination_forest)
+                .count(idx)
+                .count
+                .expect_finite()
         }),
         measure("backtrack_decide", &instances, &baseline, |p, idx, _| {
-            kernel::find_hom_indexed(p.evaluated(), idx, true)
+            SearchProgram::compile(p.evaluated(), idx, true)
+                .run(idx)
                 .0
                 .is_some() as u64
         }),
         measure("mincost_treedec", &instances, &baseline, |p, idx, w| {
-            kernel::aggregate_via_tree_decomposition_indexed::<MinCostSemiring>(
-                p.original(),
-                idx,
-                &p.counting_analysis().tree_decomposition,
-                w,
-            )
-            .unwrap_or(0)
+            TreeDpProgram::compile(p.original(), idx, &p.counting_analysis().tree_decomposition)
+                .eval::<MinCostSemiring>(idx, Some(w))
+                .0
+                .unwrap_or(0)
         }),
         measure("maxweight_forest", &instances, &baseline, |p, idx, w| {
-            kernel::aggregate_with_forest_indexed::<MaxWeightSemiring>(
-                p.original(),
-                idx,
-                &p.counting_analysis().elimination_forest,
-                w,
-            )
-            .unwrap_or(0)
+            ForestProgram::compile(p.original(), idx, &p.counting_analysis().elimination_forest)
+                .eval::<MaxWeightSemiring>(idx, Some(w), &mut 0)
+                .unwrap_or(0)
         }),
         measure("mincost_search", &instances, &baseline, |p, idx, w| {
-            kernel::aggregate_via_search_indexed::<MinCostSemiring>(p.original(), idx, w)
+            SearchProgram::compile(p.original(), idx, true)
+                .aggregate::<MinCostSemiring>(idx, Some(w))
+                .0
                 .unwrap_or(0)
         }),
     ];
@@ -357,11 +344,12 @@ fn bench(c: &mut Criterion) {
             instances
                 .iter()
                 .map(|(p, _, idx, _)| {
-                    kernel::count_hom_via_tree_decomposition_indexed(
+                    TreeDpProgram::compile(
                         p.original(),
                         idx,
                         &p.counting_analysis().tree_decomposition,
                     )
+                    .count(idx)
                     .count
                     .expect_finite()
                 })
@@ -373,12 +361,13 @@ fn bench(c: &mut Criterion) {
             instances
                 .iter()
                 .map(|(p, _, idx, w)| {
-                    kernel::aggregate_via_tree_decomposition_indexed::<MinCostSemiring>(
+                    TreeDpProgram::compile(
                         p.original(),
                         idx,
                         &p.counting_analysis().tree_decomposition,
-                        w,
                     )
+                    .eval::<MinCostSemiring>(idx, Some(w))
+                    .0
                     .unwrap_or(0)
                 })
                 .sum::<u64>()

@@ -46,9 +46,7 @@
 
 use cq_bench::{json_field_f64, median_time, quick_mode, timing_runs};
 use cq_core::{DeltaReport, Engine, EngineConfig, PreparedQuery};
-use cq_solver::{
-    count_hom_via_tree_decomposition_indexed, hom_via_tree_decomposition_indexed, Nat,
-};
+use cq_solver::{Nat, TreeDpProgram};
 use cq_structures::{
     count_homomorphisms_bruteforce, homomorphism_exists, index_build_count, DeltaBatch, Structure,
     StructureIndex,
@@ -90,16 +88,18 @@ fn fresh_round(plans: &[PreparedQuery], index: &StructureIndex) -> Vec<(bool, Na
     plans
         .iter()
         .map(|plan| {
-            let decide = hom_via_tree_decomposition_indexed(
+            let decide = TreeDpProgram::compile(
                 plan.evaluated(),
                 index,
                 &plan.analysis().tree_decomposition,
-            );
-            let count = count_hom_via_tree_decomposition_indexed(
+            )
+            .decide(index);
+            let count = TreeDpProgram::compile(
                 plan.original(),
                 index,
                 &plan.counting_analysis().tree_decomposition,
-            );
+            )
+            .count(index);
             (decide.exists, count.count)
         })
         .collect()

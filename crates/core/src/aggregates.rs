@@ -17,7 +17,7 @@
 //! is semiring-agnostic, only the run differs.
 //!
 //! The weighted forest sum–product stays in the kernel as the Theorem
-//! 6.1 (3) reference (`aggregate_with_forest_indexed`, measured by E20),
+//! 6.1 (3) reference (`ForestProgram::eval`, measured by E20),
 //! not as a tier.
 
 use crate::counting::CountMethod;

@@ -10,9 +10,8 @@
 //! ([`PreparedQuery::decide`], [`PreparedQuery::count`],
 //! [`PreparedQuery::aggregate`]) consume those certificates directly, so
 //! nothing exponential in the query runs again at evaluation time; the
-//! regression tests assert this through the
-//! call counters of [`cq_decomp::stats`] and
-//! [`cq_structures::core_computation_count`].
+//! regression tests assert this through [`cq_structures::meter`], which
+//! counts every core computation and exact width DP.
 //!
 //! Three derived per-query artifacts are materialized lazily on first use
 //! and then shared by every subsequent evaluation:

@@ -32,9 +32,10 @@
 //!   reassembles results **in input order** — reports are bit-identical to
 //!   the sequential path for every worker count;
 //! * the per-query exponential work performed by worker threads is
-//!   aggregated into per-engine counters ([`PrepStats`]) — the thread-local
-//!   counters of [`cq_decomp::stats`] / [`cq_structures`] only see the
-//!   calling thread and would silently undercount under parallelism.
+//!   aggregated into per-engine counters ([`PrepStats`]): each preparation
+//!   diffs [`cq_structures::meter::thread`] on the thread that ran it, since
+//!   the calling thread's meter would silently undercount under
+//!   parallelism.
 
 use crate::aggregates::{AggregateObjective, AggregateReport};
 use crate::answers::{AnswerCountReport, AnswerMethod, AnswerPage};
@@ -46,6 +47,7 @@ use crate::Degree;
 use cq_decomp::WidthProfile;
 use cq_logic::canonical::query_fingerprint;
 use cq_solver::kernel::AnswerProgram;
+use cq_structures::meter::{self, Meter, Meters};
 use cq_structures::{
     answers_bruteforce, structure_hash, AppliedDelta, ConjunctiveQuery, DeltaBatch, Element,
     Structure, StructureError, StructureIndex, TupleWeights,
@@ -106,11 +108,10 @@ pub struct CacheStats {
 /// Aggregated counters of the per-query exponential work this engine has
 /// performed, summed across **all** threads that ever prepared through it.
 ///
-/// The underlying instrumentation ([`cq_decomp::stats`],
-/// [`cq_structures::core_computation_count`]) is thread-local; the engine
-/// measures each preparation's delta on the thread that ran it and folds it
-/// in here, so the one-preparation-per-query invariants remain assertable
-/// when [`Engine::batch`] fans out to workers.
+/// The work is read off [`cq_structures::meter`]: the engine diffs the
+/// per-thread meter around each preparation on the thread that ran it and
+/// adds the delta here, so the one-preparation-per-query invariants remain
+/// assertable when [`Engine::batch`] fans out to workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrepStats {
     /// Plans prepared (equals the number of cache misses that ran to
@@ -191,16 +192,19 @@ impl PrepCounters {
         }
     }
 
-    /// Fold a measured thread-local width-DP delta into the aggregated
-    /// counters (the delta is exact: it was measured on the thread that ran
-    /// the work, around that work alone).
-    fn fold_decomp_delta(&self, delta: &cq_decomp::DecompCounts) {
-        self.treewidth_calls
-            .fetch_add(delta.treewidth_calls, Ordering::Relaxed);
-        self.pathwidth_calls
-            .fetch_add(delta.pathwidth_calls, Ordering::Relaxed);
-        self.treedepth_calls
-            .fetch_add(delta.treedepth_calls, Ordering::Relaxed);
+    /// Add the per-query work that ran since `before`, a
+    /// [`meter::thread`] snapshot taken on this thread around that work
+    /// alone, so the delta is exact whichever worker ran it.
+    fn add_work_since(&self, before: &Meters) {
+        let work = meter::thread().since(before);
+        for (counter, meter) in [
+            (&self.treewidth_calls, Meter::TreewidthDp),
+            (&self.pathwidth_calls, Meter::PathwidthDp),
+            (&self.treedepth_calls, Meter::TreedepthDp),
+            (&self.core_computations, Meter::CoreComputation),
+        ] {
+            counter.fetch_add(work[meter], Ordering::Relaxed);
+        }
     }
 }
 
@@ -1081,43 +1085,34 @@ impl Engine {
         }
     }
 
-    /// Run the actual preparation, folding the thread-local work counters'
-    /// delta into this engine's aggregated [`PrepStats`].  The delta is
-    /// measured on the executing thread around this call alone, so it is
-    /// exact regardless of which worker runs it.
+    /// Run the actual preparation, adding its metered work to this
+    /// engine's aggregated [`PrepStats`].
     fn prepare_counted(&self, query: &Structure, fingerprint: u64) -> Arc<PreparedQuery> {
-        let decomp_before = cq_decomp::stats::counts();
-        let cores_before = cq_structures::core_computation_count();
+        let before = meter::thread();
         let plan = Arc::new(PreparedQuery::prepare_with_fingerprint(
             query,
             &self.config,
             fingerprint,
         ));
-        let delta = cq_decomp::stats::counts().since(&decomp_before);
-        let cores = cq_structures::core_computation_count() - cores_before;
         self.prep.preparations.fetch_add(1, Ordering::Relaxed);
-        self.prep.fold_decomp_delta(&delta);
-        self.prep
-            .core_computations
-            .fetch_add(cores, Ordering::Relaxed);
+        self.prep.add_work_since(&before);
         plan
     }
 
     /// Materialize a plan's counting certificates (the structural analysis
-    /// of the original, non-cored query) if they are not there yet, folding
-    /// the width-DP delta of the one-time computation into this engine's
+    /// of the original, non-cored query) if they are not there yet, adding
+    /// the metered work of the one-time computation to this engine's
     /// aggregated [`PrepStats`].  Idempotent and single-flighted by the
     /// plan's interior `OnceLock`; repeat calls (and plans whose original
     /// is its own core) cost a structure comparison and run no DP at all.
     fn ensure_counting_certificates(&self, plan: &PreparedQuery) -> WidthProfile {
-        let decomp_before = cq_decomp::stats::counts();
+        let before = meter::thread();
         let (analysis, computed) = plan.counting_analysis_tracked();
         if computed {
-            let delta = cq_decomp::stats::counts().since(&decomp_before);
             self.prep
                 .counting_preparations
                 .fetch_add(1, Ordering::Relaxed);
-            self.prep.fold_decomp_delta(&delta);
+            self.prep.add_work_since(&before);
         }
         analysis.widths
     }

@@ -122,7 +122,7 @@ fn every_count_registry_solver_agrees_with_bruteforce_on_the_corpus() {
 /// `count_with_forest`) on every corpus pair, certificate for certificate.
 #[test]
 fn kernel_counting_agrees_with_the_retained_references_on_the_corpus() {
-    use cq_solver::kernel;
+    use cq_solver::kernel::{ForestProgram, TreeDpProgram};
     let config = oracle_config();
     let mut comparisons = 0usize;
     let mut disagreements = Vec::new();
@@ -131,11 +131,9 @@ fn kernel_counting_agrees_with_the_retained_references_on_the_corpus() {
         let index = StructureIndex::new(&target);
         let analysis = prepared.counting_analysis();
 
-        let kernel_tree = kernel::count_hom_via_tree_decomposition_indexed(
-            prepared.original(),
-            &index,
-            &analysis.tree_decomposition,
-        );
+        let kernel_tree =
+            TreeDpProgram::compile(prepared.original(), &index, &analysis.tree_decomposition)
+                .count(&index);
         let reference_tree = cq_solver::treedec::count_hom_via_tree_decomposition(
             prepared.original(),
             &target,
@@ -149,11 +147,9 @@ fn kernel_counting_agrees_with_the_retained_references_on_the_corpus() {
         }
         comparisons += 1;
 
-        let kernel_forest = kernel::count_with_forest_indexed(
-            prepared.original(),
-            &index,
-            &analysis.elimination_forest,
-        );
+        let kernel_forest =
+            ForestProgram::compile(prepared.original(), &index, &analysis.elimination_forest)
+                .count(&index);
         let reference_forest = cq_solver::treedepth::count_with_forest(
             prepared.original(),
             &target,

@@ -121,7 +121,7 @@ fn every_registry_solver_agrees_with_backtracking_on_the_corpus() {
 /// dispatch to the kernel while the reference survives as ground truth.
 #[test]
 fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
-    use cq_solver::kernel;
+    use cq_solver::kernel::{ForestProgram, SearchProgram, StairProgram, TreeDpProgram};
     let config = oracle_config();
     let mut comparisons = 0usize;
     let mut disagreements = Vec::new();
@@ -145,7 +145,7 @@ fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
         // Tree DP: kernel hash-join DP vs the reference BTreeMap DP, on
         // the same prepared certificate.
         let td = &prepared.analysis().tree_decomposition;
-        let kernel_tree = kernel::hom_via_tree_decomposition_indexed(evaluated, &index, td);
+        let kernel_tree = TreeDpProgram::compile(evaluated, &index, td).decide(&index);
         let reference_tree = cq_solver::treedec::hom_via_tree_decomposition(evaluated, &target, td);
         record(
             "TreeDec",
@@ -160,7 +160,7 @@ fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
         // Path sweep: kernel flat-row sweep vs the reference PartialHom
         // frontier, on the same staircase.
         let stair = prepared.staircase();
-        let kernel_path = kernel::hom_via_staircase_indexed(evaluated, &index, stair);
+        let kernel_path = StairProgram::compile(evaluated, &index, stair).run(&index);
         let reference_path = cq_solver::pathdp::hom_via_staircase(evaluated, &target, stair);
         record(
             "PathDp",
@@ -174,11 +174,9 @@ fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
 
         // Tree depth: kernel forest recursion vs the reference Lemma 3.3
         // sentence model check.
-        let kernel_forest = kernel::hom_via_forest_indexed(
-            evaluated,
-            &index,
-            &prepared.analysis().elimination_forest,
-        );
+        let kernel_forest =
+            ForestProgram::compile(evaluated, &index, &prepared.analysis().elimination_forest)
+                .decide(&index);
         let reference_sentence =
             cq_solver::treedepth::hom_via_compiled_sentence(prepared.sentence(), &target);
         record(
@@ -193,7 +191,7 @@ fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
 
         // Fallback search: kernel whole-query program vs the reference
         // propagating backtracker.
-        let (witness, _) = kernel::find_hom_indexed(evaluated, &index, true);
+        let (witness, _) = SearchProgram::compile(evaluated, &index, true).run(&index);
         let reference_bt =
             cq_solver::backtrack::BacktrackSolver::default().exists(evaluated, &target);
         record(

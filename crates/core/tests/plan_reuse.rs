@@ -3,19 +3,18 @@
 //! runs **at most once per prepared query**, no matter how many databases
 //! the query is evaluated against.
 //!
-//! Single-threaded preparation is asserted through the thread-local call
-//! counters of [`cq_decomp::stats`] and
-//! [`cq_structures::core_computation_count`] (the test harness runs every
-//! `#[test]` on its own thread, so those observe exactly the calls made by
-//! that test).  The batch APIs fan out to worker threads, whose calls the
-//! caller's thread-locals *cannot* see — batch assertions therefore go
+//! Single-threaded preparation is asserted through the per-thread counts
+//! of [`cq_structures::meter`] (the test harness runs every `#[test]` on
+//! its own thread, so [`meter::thread`] observes exactly the work done by
+//! that test).  The batch APIs fan out to worker threads, whose work the
+//! caller's per-thread meter *cannot* see — batch assertions therefore go
 //! through [`Engine::prep_stats`], the engine's cross-thread aggregate,
 //! and a dedicated regression test pins down the undercount the aggregate
 //! exists to fix.
 
 use cq_core::{Engine, EngineConfig, PreparedQuery, QueryId};
-use cq_decomp::stats;
-use cq_structures::{core_computation_count, families, homomorphism_exists, star_expansion};
+use cq_structures::meter::{self, Meter};
+use cq_structures::{families, homomorphism_exists, star_expansion};
 
 /// The historical bug this guards against: `solve_instance` computed the
 /// width profile (one pass over all three exact DPs) and then called
@@ -25,19 +24,27 @@ use cq_structures::{core_computation_count, families, homomorphism_exists, star_
 #[test]
 fn preparing_a_query_runs_each_width_dp_exactly_once() {
     let a = star_expansion(&families::path(6)); // pathwidth 1: path-sweep tier
-    let decomp_before = stats::counts();
-    let cores_before = core_computation_count();
+    let before = meter::thread();
 
     let q = PreparedQuery::prepare(&a, &EngineConfig::default());
 
-    let delta = stats::counts().since(&decomp_before);
-    assert_eq!(delta.treewidth_calls, 1, "one treewidth DP per preparation");
-    assert_eq!(delta.pathwidth_calls, 1, "one pathwidth DP per preparation");
+    let delta = meter::thread().since(&before);
     assert_eq!(
-        delta.treedepth_calls, 1,
+        delta[Meter::TreewidthDp],
+        1,
+        "one treewidth DP per preparation"
+    );
+    assert_eq!(
+        delta[Meter::PathwidthDp],
+        1,
+        "one pathwidth DP per preparation"
+    );
+    assert_eq!(
+        delta[Meter::TreedepthDp],
+        1,
         "one tree-depth DP per preparation"
     );
-    assert_eq!(core_computation_count() - cores_before, 1);
+    assert_eq!(delta[Meter::CoreComputation], 1);
 
     // The certificates are right there — nothing needs recomputing.
     let w = q.widths();
@@ -64,17 +71,16 @@ fn solving_a_prepared_query_recomputes_nothing() {
     ];
     for a in &queries {
         let plan = engine.prepare(a);
-        let decomp_before = stats::counts();
-        let cores_before = core_computation_count();
+        let before = meter::thread();
         for b in &targets {
             let report = engine.solve_prepared(&plan, b);
             assert_eq!(report.exists, homomorphism_exists(a, b), "{a} -> {b}");
         }
-        let delta = stats::counts().since(&decomp_before);
-        assert_eq!(delta.total(), 0, "no width DP during evaluation of {a}");
+        let delta = meter::thread().since(&before);
+        assert_eq!(delta.width_dps(), 0, "no width DP during evaluation of {a}");
         assert_eq!(
-            core_computation_count(),
-            cores_before,
+            delta[Meter::CoreComputation],
+            0,
             "no core computation during evaluation of {a}"
         );
     }
@@ -88,8 +94,7 @@ fn batch_over_one_query_prepares_once() {
     let query = families::cycle(5);
     let targets: Vec<_> = (3..11).map(families::clique).collect();
 
-    let decomp_before = stats::counts();
-    let cores_before = core_computation_count();
+    let before = meter::thread();
 
     let id = engine.register(&query);
     let batch: Vec<(QueryId, &_)> = targets.iter().map(|t| (id, t)).collect();
@@ -101,11 +106,11 @@ fn batch_over_one_query_prepares_once() {
     }
     // `register` prepared on this thread; the batch must add nothing,
     // no matter which worker threads it ran on.
-    let delta = stats::counts().since(&decomp_before);
-    assert_eq!(delta.treewidth_calls, 1);
-    assert_eq!(delta.pathwidth_calls, 1);
-    assert_eq!(delta.treedepth_calls, 1);
-    assert_eq!(core_computation_count() - cores_before, 1);
+    let delta = meter::thread().since(&before);
+    assert_eq!(delta[Meter::TreewidthDp], 1);
+    assert_eq!(delta[Meter::PathwidthDp], 1);
+    assert_eq!(delta[Meter::TreedepthDp], 1);
+    assert_eq!(delta[Meter::CoreComputation], 1);
     let prep = engine.prep_stats();
     assert_eq!(prep.preparations, 1);
     assert_eq!(prep.treewidth_calls, 1);
@@ -143,8 +148,8 @@ fn instance_batch_with_repeated_queries_prepares_each_distinct_query_once() {
 }
 
 /// Regression test for the parallel-stats fix: a batch forced onto multiple
-/// workers prepares off the calling thread, so the caller's thread-local
-/// counters see **nothing** — the historical undercount — while the
+/// workers prepares off the calling thread, so the caller's per-thread
+/// meter sees **nothing** — the historical undercount — while the
 /// engine's aggregated [`PrepStats`] still accounts for every preparation
 /// exactly once.
 #[test]
@@ -165,16 +170,16 @@ fn aggregated_prep_stats_are_exact_where_thread_locals_undercount() {
         .flat_map(|q| targets.iter().map(move |t| (q, t)))
         .collect();
 
-    let decomp_before = stats::counts();
-    let cores_before = core_computation_count();
-    let global_before = stats::global_counts();
+    let thread_before = meter::thread();
+    let process_before = meter::process();
 
     let reports = engine.batch(&batch, |e, &(q, d)| e.solve(q, d));
     assert_eq!(reports.len(), batch.len());
 
-    // The calling thread only dispatched: its thread-locals are silent...
-    assert_eq!(stats::counts().since(&decomp_before).total(), 0);
-    assert_eq!(core_computation_count(), cores_before);
+    // The calling thread only dispatched: its meter is silent...
+    let thread_delta = meter::thread().since(&thread_before);
+    assert_eq!(thread_delta.width_dps(), 0);
+    assert_eq!(thread_delta[Meter::CoreComputation], 0);
     // ...but the engine aggregate is exact: one preparation (one core
     // computation, one DP of each kind) per distinct query.
     let prep = engine.prep_stats();
@@ -183,8 +188,8 @@ fn aggregated_prep_stats_are_exact_where_thread_locals_undercount() {
     assert_eq!(prep.pathwidth_calls, 4);
     assert_eq!(prep.treedepth_calls, 4);
     assert_eq!(prep.core_computations, 4);
-    // The process-wide counters saw the worker threads too (>=: concurrent
+    // The process-wide meter saw the worker threads too (>=: concurrent
     // tests in this binary may add their own calls).
-    let global_delta = stats::global_counts().since(&global_before);
-    assert!(global_delta.treewidth_calls >= 4);
+    let process_delta = meter::process().since(&process_before);
+    assert!(process_delta[Meter::TreewidthDp] >= 4);
 }

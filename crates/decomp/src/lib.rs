@@ -33,14 +33,12 @@ pub mod codec;
 pub mod decomposition;
 pub mod heuristics;
 pub mod pathwidth;
-pub mod stats;
 pub mod treedepth;
 pub mod treewidth;
 
 pub use decomposition::{EliminationForest, PathDecomposition, TreeDecomposition};
 pub use heuristics::{min_degree_ordering, min_fill_ordering, treewidth_upper_bound};
 pub use pathwidth::{pathwidth_exact, pathwidth_of_structure};
-pub use stats::DecompCounts;
 pub use treedepth::{treedepth_exact, treedepth_of_structure};
 pub use treewidth::{treewidth_exact, treewidth_of_structure};
 
@@ -77,7 +75,8 @@ pub fn width_profile(g: &Graph) -> WidthProfile {
 /// query and then reuses across every database the query is evaluated
 /// against; the solvers consume the certificates directly, so no width
 /// computation ever runs twice for the same prepared query (asserted by the
-/// regression tests through [`stats::counts`]).
+/// regression tests through [`cq_structures::meter`], which every exact
+/// width function records into).
 #[derive(Debug, Clone)]
 pub struct StructuralAnalysis {
     /// The three width measures.
@@ -126,6 +125,7 @@ pub fn width_profile_of_structure(s: &cq_structures::Structure) -> WidthProfile 
 mod tests {
     use super::*;
     use cq_graphs::families::*;
+    use cq_structures::meter::{self, Meter};
 
     #[test]
     fn width_profile_orders_correctly() {
@@ -172,11 +172,11 @@ mod tests {
     #[test]
     fn analyze_runs_each_width_dp_exactly_once() {
         let g = cycle_graph(6);
-        let before = stats::counts();
+        let before = meter::thread();
         let _ = analyze(&g);
-        let delta = stats::counts().since(&before);
-        assert_eq!(delta.treewidth_calls, 1);
-        assert_eq!(delta.pathwidth_calls, 1);
-        assert_eq!(delta.treedepth_calls, 1);
+        let delta = meter::thread().since(&before);
+        assert_eq!(delta[Meter::TreewidthDp], 1);
+        assert_eq!(delta[Meter::PathwidthDp], 1);
+        assert_eq!(delta[Meter::TreedepthDp], 1);
     }
 }

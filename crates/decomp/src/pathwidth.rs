@@ -18,6 +18,7 @@
 
 use crate::decomposition::PathDecomposition;
 use cq_graphs::{gaifman_graph, Graph, Vertex};
+use cq_structures::meter::{self, Meter};
 use cq_structures::Structure;
 use std::collections::BTreeSet;
 
@@ -42,7 +43,7 @@ fn boundary_size(g: &Graph, s: u64) -> u32 {
 ///
 /// Panics when the graph has more than [`EXACT_LIMIT`] vertices.
 pub fn pathwidth_exact(g: &Graph) -> (usize, PathDecomposition) {
-    crate::stats::record_pathwidth_call();
+    meter::record(Meter::PathwidthDp);
     let n = g.vertex_count();
     assert!(
         n <= EXACT_LIMIT,

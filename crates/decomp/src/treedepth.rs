@@ -12,6 +12,7 @@
 
 use crate::decomposition::EliminationForest;
 use cq_graphs::{gaifman_graph, traversal, Graph, Vertex};
+use cq_structures::meter::{self, Meter};
 use cq_structures::Structure;
 use std::collections::HashMap;
 
@@ -149,7 +150,7 @@ impl<'a> Memo<'a> {
 ///
 /// Panics when the graph has more than [`EXACT_LIMIT`] vertices.
 pub fn treedepth_exact(g: &Graph) -> (usize, EliminationForest) {
-    crate::stats::record_treedepth_call();
+    meter::record(Meter::TreedepthDp);
     let n = g.vertex_count();
     assert!(
         n <= EXACT_LIMIT,

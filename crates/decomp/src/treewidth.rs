@@ -24,6 +24,7 @@
 use crate::decomposition::TreeDecomposition;
 use crate::heuristics;
 use cq_graphs::{gaifman_graph, Graph, Vertex};
+use cq_structures::meter::{self, Meter};
 use cq_structures::Structure;
 
 /// Largest vertex count for which the exact subset DP is attempted.
@@ -65,7 +66,7 @@ fn q_set(g: &Graph, s: u64, v: Vertex) -> Vec<Vertex> {
 /// Panics when the graph has more than [`EXACT_LIMIT`] vertices — callers
 /// that may receive large graphs should use [`treewidth`] instead.
 pub fn treewidth_exact(g: &Graph) -> (usize, TreeDecomposition) {
-    crate::stats::record_treewidth_call();
+    meter::record(Meter::TreewidthDp);
     let n = g.vertex_count();
     assert!(
         n <= EXACT_LIMIT,

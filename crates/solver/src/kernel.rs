@@ -25,7 +25,7 @@
 //!   exactly one unbound variable, the enumerator walks the posting list
 //!   of the cheapest bound position instead of scanning the whole
 //!   prefilter domain (a classic index nested-loop join), and the fallback
-//!   search ([`find_hom_indexed`]) is the whole-query [`BagProgram`] in
+//!   search ([`SearchProgram`]) is the whole-query [`BagProgram`] in
 //!   fail-first order with O(1) tuple membership.
 //!
 //! **One DP, many semirings.**  There is exactly one tree DP, one
@@ -50,12 +50,13 @@
 //! [`SearchProgram`] — compiled once per (query, index) pair, and a cheap
 //! `run` that executes it against the same index.  Compiled programs are
 //! semiring-agnostic: one program serves decide, count, and every
-//! weighting.  The free `*_indexed` functions remain as compile-then-run
-//! one-liners; callers that evaluate the same prepared query repeatedly
-//! against a cached database (the engine's warm path) hold on to the
-//! compiled program instead and skip recompilation entirely.
-//! [`program_compilation_count`] meters compilations so tests and benches
-//! can assert the warm path stays warm.
+//! weighting.  A one-off evaluation is `compile` then `run`, e.g.
+//! `TreeDpProgram::compile(a, &index, &td).decide(&index)`; callers that
+//! evaluate the same prepared query repeatedly against a cached database
+//! (the engine's warm path) hold on to the compiled program and skip
+//! recompilation entirely.  Every compilation records one
+//! [`Meter::ProgramCompilation`], so tests and benches can assert the warm
+//! path stays warm.
 //!
 //! **Free variables.** The same compiled machinery answers queries with
 //! free variables: [`AnswerProgram`] runs the tree DP over the answer
@@ -84,26 +85,22 @@
 //! the oracle the differential tests pit the kernel against.
 
 use cq_decomp::{EliminationForest, PathDecomposition, TreeDecomposition};
+use cq_structures::meter::{self, Meter};
 use cq_structures::SymbolId;
 use cq_structures::{AppliedDelta, Element, IndexState, Structure, StructureIndex, TupleWeights};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::pathdp::PathDpReport;
 use crate::semiring::{BoolSemiring, CheckedNatSemiring, Nat, Semiring};
 
-/// Process-wide count of query-side kernel compilations (one per
-/// [`QueryDomains::compile`], which every compiled program performs
-/// exactly once).  Lets tests and benches assert that cached-program
-/// paths do not silently recompile per call.
-static PROGRAM_COMPILATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The number of kernel program compilations performed by this process so
-/// far.  Monotone; differences across a code region count the
-/// compilations inside it.
+/// The number of kernel program compilations (one per
+/// [`QueryDomains::compile`], which every compiled program performs exactly
+/// once) in this process so far: the [`Meter::ProgramCompilation`] count.
+/// Monotone; differences across a code region count the compilations
+/// inside it.
 pub fn program_compilation_count() -> u64 {
-    PROGRAM_COMPILATIONS.load(Ordering::Relaxed)
+    meter::process()[Meter::ProgramCompilation]
 }
 
 /// Query-side compilation shared by every kernel entry point: the
@@ -127,7 +124,7 @@ pub struct QueryDomains {
 impl QueryDomains {
     /// Compile the prefilter for `a` against an indexed target.
     pub fn compile(a: &Structure, index: &StructureIndex) -> QueryDomains {
-        PROGRAM_COMPILATIONS.fetch_add(1, Ordering::Relaxed);
+        meter::record(Meter::ProgramCompilation);
         let sym_map: Vec<Option<SymbolId>> = a
             .vocabulary()
             .ids()
@@ -970,7 +967,9 @@ struct TreeEdge {
 /// bag order, per-bag [`BagProgram`]s, and per-edge separator positions.
 /// Compile once, then [`TreeDpProgram::decide`] / [`TreeDpProgram::count`]
 /// / [`TreeDpProgram::eval`] any number of times against the same index —
-/// the program is semiring-agnostic.
+/// the program is semiring-agnostic.  References:
+/// [`crate::treedec::hom_via_tree_decomposition`] and
+/// [`crate::treedec::count_hom_via_tree_decomposition`].
 pub struct TreeDpProgram {
     index_id: u64,
     satisfiable: bool,
@@ -2188,43 +2187,6 @@ impl TreeDpProgram {
     }
 }
 
-/// Decide `HOM(A, B)` by the kernel tree DP over a valid tree
-/// decomposition of `A`'s Gaifman graph (see the module docs; the
-/// reference implementation is [`crate::treedec::hom_via_tree_decomposition`]).
-pub fn hom_via_tree_decomposition_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    td: &TreeDecomposition,
-) -> TreeDpRun {
-    TreeDpProgram::compile(a, index, td).decide(index)
-}
-
-/// Count homomorphisms from `a` into the indexed target by the kernel tree
-/// DP (group-sum separator joins; reference:
-/// [`crate::treedec::count_hom_via_tree_decomposition`]).
-pub fn count_hom_via_tree_decomposition_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    td: &TreeDecomposition,
-) -> TreeDpRun {
-    TreeDpProgram::compile(a, index, td).count(index)
-}
-
-/// Aggregate over a tree decomposition in an arbitrary semiring with
-/// per-tuple weights — `min_cost` / `max_weight` are
-/// `aggregate_via_tree_decomposition_indexed::<MinCostSemiring>` /
-/// `::<MaxWeightSemiring>`.
-pub fn aggregate_via_tree_decomposition_indexed<S: Semiring>(
-    a: &Structure,
-    index: &StructureIndex,
-    td: &TreeDecomposition,
-    weights: &TupleWeights,
-) -> S::Value {
-    TreeDpProgram::compile(a, index, td)
-        .eval::<S>(index, Some(weights))
-        .0
-}
-
 /// One step of a compiled staircase sweep.
 enum StairStep {
     /// Project the frontier onto the surviving positions, ⊕-merging rows
@@ -2249,7 +2211,8 @@ enum StairStep {
 /// introduce step assigning its last element (path-decomposition
 /// contiguity: elements never return once forgotten) — so every check
 /// owns its weight factor and the sweep is a sound ⊕/⊗ evaluation for any
-/// semiring, not just decision.
+/// semiring, not just decision.  Reference:
+/// [`crate::pathdp::hom_via_staircase`].
 pub struct StairProgram {
     index_id: u64,
     satisfiable: bool,
@@ -2444,45 +2407,6 @@ impl StairProgram {
     }
 }
 
-/// Decide `HOM(A, B)` by sweeping a staircase path decomposition with flat
-/// frontier rows (reference: [`crate::pathdp::hom_via_staircase`]).
-///
-/// Forget steps project the frontier onto the surviving positions and
-/// ⊕-merge collisions through the packed-key [`GroupTable`] (the separator
-/// in staircase form is the smaller bag itself); introduce steps extend
-/// each row through a [`BagProgram`] whose first depths are pinned to the
-/// row.
-pub fn hom_via_staircase_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    stair: &PathDecomposition,
-) -> PathDpReport {
-    StairProgram::compile(a, index, stair).run(index)
-}
-
-/// Count homomorphisms by the kernel staircase sweep — the pathwidth
-/// tier's counting entry point (checked arithmetic, typed overflow).
-pub fn count_via_staircase_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    stair: &PathDecomposition,
-) -> Nat {
-    StairProgram::compile(a, index, stair).count(index)
-}
-
-/// Aggregate over a staircase sweep in an arbitrary semiring with
-/// per-tuple weights.
-pub fn aggregate_via_staircase_indexed<S: Semiring>(
-    a: &Structure,
-    index: &StructureIndex,
-    stair: &PathDecomposition,
-    weights: &TupleWeights,
-) -> S::Value {
-    StairProgram::compile(a, index, stair)
-        .eval::<S>(index, Some(weights))
-        .0
-}
-
 /// The forest topology and per-node constraints of a compiled forest
 /// evaluation: for each node, the tuples of the query whose deepest
 /// element in the forest it is (all other elements are ancestors, hence
@@ -2588,7 +2512,8 @@ fn forest_subtree<S: Semiring>(
 /// `(query, index)` pair: prefilter domains plus per-node anchored
 /// constraints.  Compile once, then [`ForestProgram::decide`] /
 /// [`ForestProgram::count`] / [`ForestProgram::eval`] many times against
-/// the same index — the program is semiring-agnostic.
+/// the same index — the program is semiring-agnostic.  Reference:
+/// [`crate::treedepth::count_with_forest`].
 pub struct ForestProgram {
     index_id: u64,
     satisfiable: bool,
@@ -2681,39 +2606,6 @@ impl ForestProgram {
     }
 }
 
-/// Count homomorphisms by the kernel sum–product recursion over an
-/// elimination forest of `a` (reference:
-/// [`crate::treedepth::count_with_forest`]).
-pub fn count_with_forest_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    forest: &EliminationForest,
-) -> ForestRun {
-    ForestProgram::compile(a, index, forest).count(index)
-}
-
-/// Decide `HOM(A, B)` by the same recursion with first-witness early exit
-/// — the kernel decision procedure licensed by bounded tree depth.
-pub fn hom_via_forest_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    forest: &EliminationForest,
-) -> ForestRun {
-    ForestProgram::compile(a, index, forest).decide(index)
-}
-
-/// Aggregate over an elimination forest in an arbitrary semiring with
-/// per-tuple weights.
-pub fn aggregate_with_forest_indexed<S: Semiring>(
-    a: &Structure,
-    index: &StructureIndex,
-    forest: &EliminationForest,
-    weights: &TupleWeights,
-) -> S::Value {
-    let mut assignments = 0u64;
-    ForestProgram::compile(a, index, forest).eval::<S>(index, Some(weights), &mut assignments)
-}
-
 /// Statistics of one kernel backtracking search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelSearchStats {
@@ -2728,7 +2620,9 @@ pub struct KernelSearchStats {
 /// The structure-agnostic kernel fallback compiled against one
 /// `(query, index)` pair: the whole query as a single [`BagProgram`]
 /// (index-driven candidate domains, incremental constraint checks) in the
-/// chosen element order.
+/// chosen element order.  References: the backtracking searches of
+/// [`crate::backtrack::BacktrackSolver`] and
+/// [`cq_structures::find_homomorphism`].
 pub struct SearchProgram {
     index_id: u64,
     /// The prefilter refuted the instance at compile time (unsatisfiable
@@ -2856,30 +2750,6 @@ impl SearchProgram {
     }
 }
 
-/// The structure-agnostic kernel fallback: the whole query compiled as a
-/// single [`BagProgram`] searched for a first complete row.  (Reference:
-/// the backtracking searches of [`crate::backtrack::BacktrackSolver`] and
-/// [`cq_structures::find_homomorphism`].)
-pub fn find_hom_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    fail_first: bool,
-) -> (Option<Vec<Element>>, KernelSearchStats) {
-    SearchProgram::compile(a, index, fail_first).run(index)
-}
-
-/// Aggregate over all homomorphisms by exhaustive (fail-first ordered)
-/// search in an arbitrary semiring — the no-structural-guarantee tier.
-pub fn aggregate_via_search_indexed<S: Semiring>(
-    a: &Structure,
-    index: &StructureIndex,
-    weights: &TupleWeights,
-) -> S::Value {
-    SearchProgram::compile(a, index, true)
-        .aggregate::<S>(index, Some(weights))
-        .0
-}
-
 /// Enumerate the valid assignments of one bag as flat rows over the sorted
 /// bag order — the kernel replacement for the reference `bag_assignments`
 /// helper (exposed for tests and ad-hoc callers).
@@ -2982,9 +2852,9 @@ mod tests {
         for (a, b) in pairs() {
             let (_, td) = treewidth_of_structure(&a);
             let index = StructureIndex::new(&b);
-            let decide = hom_via_tree_decomposition_indexed(&a, &index, &td);
+            let decide = TreeDpProgram::compile(&a, &index, &td).decide(&index);
             assert_eq!(decide.exists, homomorphism_exists(&a, &b), "{a} -> {b}");
-            let count = count_hom_via_tree_decomposition_indexed(&a, &index, &td);
+            let count = TreeDpProgram::compile(&a, &index, &td).count(&index);
             assert_eq!(
                 count.count,
                 count_homomorphisms_bruteforce(&a, &b),
@@ -2999,7 +2869,7 @@ mod tests {
             let (_, pd) = pathwidth_of_structure(&a);
             let stair = pd.normalize_staircase();
             let index = StructureIndex::new(&b);
-            let kernel = hom_via_staircase_indexed(&a, &index, &stair);
+            let kernel = StairProgram::compile(&a, &index, &stair).run(&index);
             let reference = crate::pathdp::hom_via_staircase(&a, &b, &stair);
             assert_eq!(kernel.exists, reference.exists, "{a} -> {b}");
             assert_eq!(kernel.bags, reference.bags);
@@ -3022,7 +2892,7 @@ mod tests {
             let stair = pd.normalize_staircase();
             let index = StructureIndex::new(&b);
             assert_eq!(
-                count_via_staircase_indexed(&a, &index, &stair),
+                StairProgram::compile(&a, &index, &stair).count(&index),
                 count_homomorphisms_bruteforce(&a, &b),
                 "{a} -> {b}"
             );
@@ -3035,13 +2905,13 @@ mod tests {
             let g = gaifman_graph(&a);
             let (_, forest) = treedepth_exact(&g);
             let index = StructureIndex::new(&b);
-            let count = count_with_forest_indexed(&a, &index, &forest);
+            let count = ForestProgram::compile(&a, &index, &forest).count(&index);
             assert_eq!(
                 count.count,
                 count_homomorphisms_bruteforce(&a, &b),
                 "{a} -> {b}"
             );
-            let decide = hom_via_forest_indexed(&a, &index, &forest);
+            let decide = ForestProgram::compile(&a, &index, &forest).decide(&index);
             assert_eq!(decide.exists, homomorphism_exists(&a, &b), "{a} -> {b}");
         }
     }
@@ -3254,36 +3124,48 @@ mod tests {
             let (_, forest) = treedepth_exact(&g);
 
             assert_eq!(
-                aggregate_via_tree_decomposition_indexed::<MinCostSemiring>(
-                    &a, &index, &td, &weights
-                ),
+                TreeDpProgram::compile(&a, &index, &td)
+                    .eval::<MinCostSemiring>(&index, Some(&weights))
+                    .0,
                 expected_min,
                 "tree min-cost on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_via_tree_decomposition_indexed::<MaxWeightSemiring>(
-                    &a, &index, &td, &weights
-                ),
+                TreeDpProgram::compile(&a, &index, &td)
+                    .eval::<MaxWeightSemiring>(&index, Some(&weights))
+                    .0,
                 expected_max,
                 "tree max-weight on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_via_staircase_indexed::<MinCostSemiring>(&a, &index, &stair, &weights),
+                StairProgram::compile(&a, &index, &stair)
+                    .eval::<MinCostSemiring>(&index, Some(&weights))
+                    .0,
                 expected_min,
                 "stair min-cost on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_with_forest_indexed::<MinCostSemiring>(&a, &index, &forest, &weights),
+                ForestProgram::compile(&a, &index, &forest).eval::<MinCostSemiring>(
+                    &index,
+                    Some(&weights),
+                    &mut 0
+                ),
                 expected_min,
                 "forest min-cost on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_with_forest_indexed::<MaxWeightSemiring>(&a, &index, &forest, &weights),
+                ForestProgram::compile(&a, &index, &forest).eval::<MaxWeightSemiring>(
+                    &index,
+                    Some(&weights),
+                    &mut 0
+                ),
                 expected_max,
                 "forest max-weight on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_via_search_indexed::<MaxWeightSemiring>(&a, &index, &weights),
+                SearchProgram::compile(&a, &index, true)
+                    .aggregate::<MaxWeightSemiring>(&index, Some(&weights))
+                    .0,
                 expected_max,
                 "search max-weight on {a} -> {b}"
             );
@@ -3301,12 +3183,12 @@ mod tests {
         let k64 = families::clique(64);
         let index = StructureIndex::new(&k64);
         let (_, td) = treewidth_of_structure(&p12);
-        let run = count_hom_via_tree_decomposition_indexed(&p12, &index, &td);
+        let run = TreeDpProgram::compile(&p12, &index, &td).count(&index);
         assert_eq!(run.count, Nat::Overflow);
         assert!(run.exists, "overflowed counts still certify existence");
         let (_, pd) = pathwidth_of_structure(&p12);
         assert_eq!(
-            count_via_staircase_indexed(&p12, &index, &pd.normalize_staircase()),
+            StairProgram::compile(&p12, &index, &pd.normalize_staircase()).count(&index),
             Nat::Overflow
         );
 
@@ -3318,7 +3200,7 @@ mod tests {
         let star_index = StructureIndex::new(&k100);
         let g = gaifman_graph(&star);
         let (_, forest) = treedepth_exact(&g);
-        let run = count_with_forest_indexed(&star, &star_index, &forest);
+        let run = ForestProgram::compile(&star, &star_index, &forest).count(&star_index);
         assert_eq!(run.count, Nat::Overflow);
         assert!(run.exists);
 
@@ -3326,7 +3208,9 @@ mod tests {
         let p2 = families::path(2);
         let (_, td2) = treewidth_of_structure(&p2);
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&p2, &index, &td2).count,
+            TreeDpProgram::compile(&p2, &index, &td2)
+                .count(&index)
+                .count,
             64 * 63
         );
     }
@@ -3362,7 +3246,7 @@ mod tests {
         for (a, b) in pairs() {
             let index = StructureIndex::new(&b);
             for fail_first in [true, false] {
-                let (witness, _) = find_hom_indexed(&a, &index, fail_first);
+                let (witness, _) = SearchProgram::compile(&a, &index, fail_first).run(&index);
                 assert_eq!(witness.is_some(), homomorphism_exists(&a, &b), "{a} -> {b}");
                 if let Some(h) = witness {
                     assert!(cq_structures::is_homomorphism(&a, &b, &h), "{a} -> {b}");
@@ -3390,7 +3274,7 @@ mod tests {
         for e in 0..q.universe_size() {
             assert_eq!(doms.domain(e), &[e as u32], "colour pins element {e}");
         }
-        let (witness, stats) = find_hom_indexed(&q, &index, true);
+        let (witness, stats) = SearchProgram::compile(&q, &index, true).run(&index);
         assert!(witness.is_some());
         assert_eq!(stats.assignments, q.universe_size() as u64);
     }
@@ -3403,17 +3287,30 @@ mod tests {
         let doms = QueryDomains::compile(&q, &index);
         assert!(!doms.satisfiable());
         let (_, td) = treewidth_of_structure(&q);
-        assert!(!hom_via_tree_decomposition_indexed(&q, &index, &td).exists);
+        assert!(
+            !TreeDpProgram::compile(&q, &index, &td)
+                .decide(&index)
+                .exists
+        );
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&q, &index, &td).count,
+            TreeDpProgram::compile(&q, &index, &td).count(&index).count,
             0
         );
         let (_, pd) = pathwidth_of_structure(&q);
-        assert!(!hom_via_staircase_indexed(&q, &index, &pd.normalize_staircase()).exists);
+        assert!(
+            !StairProgram::compile(&q, &index, &pd.normalize_staircase())
+                .run(&index)
+                .exists
+        );
         let g = gaifman_graph(&q);
         let (_, forest) = treedepth_exact(&g);
-        assert_eq!(count_with_forest_indexed(&q, &index, &forest).count, 0);
-        let (witness, stats) = find_hom_indexed(&q, &index, true);
+        assert_eq!(
+            ForestProgram::compile(&q, &index, &forest)
+                .count(&index)
+                .count,
+            0
+        );
+        let (witness, stats) = SearchProgram::compile(&q, &index, true).run(&index);
         assert!(witness.is_none());
         assert!(stats.decided_by_prefilter);
     }
@@ -3424,9 +3321,13 @@ mod tests {
         let b = families::cycle(6);
         let td = TreeDecomposition::trivial(&gaifman_graph(&a));
         let index = StructureIndex::new(&b);
-        assert!(hom_via_tree_decomposition_indexed(&a, &index, &td).exists);
+        assert!(
+            TreeDpProgram::compile(&a, &index, &td)
+                .decide(&index)
+                .exists
+        );
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&a, &index, &td).count,
+            TreeDpProgram::compile(&a, &index, &td).count(&index).count,
             count_homomorphisms_bruteforce(&a, &b)
         );
     }
@@ -3462,17 +3363,23 @@ mod tests {
         let index = StructureIndex::new(&k3);
         let (_, td) = treewidth_of_structure(&two_edges);
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&two_edges, &index, &td).count,
+            TreeDpProgram::compile(&two_edges, &index, &td)
+                .count(&index)
+                .count,
             count_homomorphisms_bruteforce(&two_edges, &k3)
         );
-        assert!(hom_via_tree_decomposition_indexed(&two_edges, &index, &td).exists);
+        assert!(
+            TreeDpProgram::compile(&two_edges, &index, &td)
+                .decide(&index)
+                .exists
+        );
         // Weighted across components: min cost adds over the two edges.
         let weights = test_weights(&k3);
         let costs = hom_costs(&two_edges, &k3, &weights);
         assert_eq!(
-            aggregate_via_tree_decomposition_indexed::<MinCostSemiring>(
-                &two_edges, &index, &td, &weights
-            ),
+            TreeDpProgram::compile(&two_edges, &index, &td)
+                .eval::<MinCostSemiring>(&index, Some(&weights))
+                .0,
             costs.iter().copied().min()
         );
     }
@@ -3498,12 +3405,10 @@ mod tests {
         assert_eq!(search.index_id(), index.id());
 
         // Running a compiled program does not recompile: repeat runs are
-        // pure reads of the program and return identical results.  (The
-        // counter is process-global and other tests compile concurrently,
-        // so only monotone lower bounds are race-safe to assert here; the
-        // exact no-recompile equality is asserted by the single-threaded
-        // E18 bench.)  One compiled program serves every semiring.
-        let before = program_compilation_count();
+        // pure reads of the program and return identical results.  The
+        // thread's meter sees only this test's work, so the counts are
+        // exact.  One compiled program serves every semiring.
+        let before = meter::thread();
         let expected = count_homomorphisms_bruteforce(&a, &b);
         let weights = TupleWeights::uniform(&b, 2);
         for _ in 0..3 {
@@ -3522,9 +3427,14 @@ mod tests {
             assert!(search.run(&index).0.is_some());
         }
 
-        // Compiling does meter.
+        let compilations =
+            |since: &meter::Meters| meter::thread().since(since)[Meter::ProgramCompilation];
+        assert_eq!(compilations(&before), 0);
+
+        // Compiling meters exactly once.
+        let before = meter::thread();
         let _again = TreeDpProgram::compile(&a, &index, &td);
-        assert!(program_compilation_count() > before);
+        assert_eq!(compilations(&before), 1);
     }
 
     #[test]
@@ -3537,11 +3447,15 @@ mod tests {
         let index = StructureIndex::new(&b);
         let (_, td) = treewidth_of_structure(&a);
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&a, &index, &td).count,
+            TreeDpProgram::compile(&a, &index, &td).count(&index).count,
             count_homomorphisms_bruteforce(&a, &b)
         );
         let (_, pd) = pathwidth_of_structure(&a);
-        assert!(hom_via_staircase_indexed(&a, &index, &pd.normalize_staircase()).exists);
+        assert!(
+            StairProgram::compile(&a, &index, &pd.normalize_staircase())
+                .run(&index)
+                .exists
+        );
         // A star query: the centre is bound first, the leaves all drive
         // off the centre's posting list.
         let star = families::star(4);
@@ -3549,7 +3463,9 @@ mod tests {
         let k4_index = StructureIndex::new(&k4);
         let (_, td_star) = treewidth_of_structure(&star);
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&star, &k4_index, &td_star).count,
+            TreeDpProgram::compile(&star, &k4_index, &td_star)
+                .count(&k4_index)
+                .count,
             count_homomorphisms_bruteforce(&star, &k4)
         );
     }

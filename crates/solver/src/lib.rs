@@ -40,14 +40,9 @@ pub use backtrack::BacktrackSolver;
 pub use colour_coding::{hash_coloring, ColorCodingConfig};
 pub use domains::{arc_consistency, initial_domains, Domains};
 pub use kernel::{
-    aggregate_via_search_indexed, aggregate_via_staircase_indexed,
-    aggregate_via_tree_decomposition_indexed, aggregate_with_forest_indexed, bag_rows_indexed,
-    count_hom_via_tree_decomposition_indexed, count_via_staircase_indexed,
-    count_with_forest_indexed, find_hom_indexed, hom_via_forest_indexed, hom_via_staircase_indexed,
-    hom_via_tree_decomposition_indexed, program_compilation_count, AnswerCursor, AnswerProgram,
-    BagProgram, ForestProgram, ForestRun, GroupTable, KernelSearchStats, QueryDomains,
-    RetainedEvalStats, SearchProgram, StairProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState,
-    ViableDomains,
+    bag_rows_indexed, program_compilation_count, AnswerCursor, AnswerProgram, BagProgram,
+    ForestProgram, ForestRun, GroupTable, KernelSearchStats, QueryDomains, RetainedEvalStats,
+    SearchProgram, StairProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState, ViableDomains,
 };
 pub use pathdp::{hom_via_path_decomposition, hom_via_staircase, PathDpReport};
 pub use problems::{has_k_cycle, has_k_path, st_path_at_most};

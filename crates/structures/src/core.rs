@@ -13,41 +13,9 @@
 //! substructures.
 
 use crate::homomorphism::{find_homomorphism, homomorphism_exists};
+use crate::meter::{self, Meter};
 use crate::structure::{Element, Structure};
-use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-thread_local! {
-    static CORE_COMPUTATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-static GLOBAL_CORE_COMPUTATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of [`core_of`] computations performed on the current thread.
-///
-/// Core computation is the other exponential per-query cost besides the
-/// width DPs; the prepared-query engine must run it at most once per query.
-/// This thread-local counter lets tests assert that (thread-locality makes
-/// it race-free under the multi-threaded test harness).  Work fanned out to
-/// worker threads is invisible here — use
-/// [`global_core_computation_count`] or the engine's per-engine aggregation
-/// for cross-thread totals.
-pub fn core_computation_count() -> u64 {
-    CORE_COMPUTATIONS.with(Cell::get)
-}
-
-/// Number of [`core_of`] computations performed process-wide, across all
-/// threads.  Monotonically non-decreasing; callers measure work by diffing
-/// two snapshots.
-pub fn global_core_computation_count() -> u64 {
-    GLOBAL_CORE_COMPUTATIONS.load(Ordering::Relaxed)
-}
-
-fn record_core_computation() {
-    CORE_COMPUTATIONS.with(|c| c.set(c.get() + 1));
-    GLOBAL_CORE_COMPUTATIONS.fetch_add(1, Ordering::Relaxed);
-}
 
 /// The result of a core computation: the core itself plus bookkeeping that
 /// tests and the classification engine use.
@@ -111,7 +79,7 @@ pub fn is_core(a: &Structure) -> bool {
 /// smaller than `A \ {x}`), and repeat until no element can be dropped.  The
 /// final structure is a core and is homomorphically equivalent to the input.
 pub fn core_of(a: &Structure) -> CoreComputation {
-    record_core_computation();
+    meter::record(Meter::CoreComputation);
     let n = a.universe_size();
     // survivors[i] = original element currently representing position i.
     let mut survivors: Vec<Element> = a.universe().collect();

@@ -32,6 +32,7 @@
 
 use crate::delta::{AppliedDelta, DeltaBatch};
 use crate::error::StructureError;
+use crate::meter::{self, Meter};
 use crate::structure::{fresh_content_token, Structure};
 use crate::vocabulary::{SymbolId, Vocabulary};
 use std::collections::{HashMap, VecDeque};
@@ -46,15 +47,12 @@ static NEXT_INDEX_ID: AtomicU64 = AtomicU64::new(1);
 /// domain (0 is every fresh build's epoch).
 static NEXT_DOMAIN_EPOCH: AtomicU64 = AtomicU64::new(1);
 
-/// Process-wide count of full index builds (one per
-/// [`StructureIndex::from_arc`] sweep).  The incremental path mutates
-/// indexes in place, so benches and tests assert this counter does *not*
-/// grow while deltas are applied.
-static INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// How many full index builds have happened in this process.
+/// How many full index builds (one per [`StructureIndex::from_arc`] sweep)
+/// have happened in this process: the [`Meter::IndexBuild`] count.  The
+/// incremental path mutates indexes in place, so benches assert this does
+/// *not* grow while deltas are applied.
 pub fn index_build_count() -> u64 {
-    INDEX_BUILDS.load(Ordering::Relaxed)
+    meter::process()[Meter::IndexBuild]
 }
 
 /// How many [`AppliedDelta`] records an index retains for consumers that
@@ -353,7 +351,7 @@ impl StructureIndex {
     /// Build the index over an already-shared structure without copying its
     /// tuple data: the index holds the `Arc` and serves rows out of it.
     pub fn from_arc(b: Arc<Structure>) -> StructureIndex {
-        INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
+        meter::record(Meter::IndexBuild);
         let relations = b
             .vocabulary()
             .ids()
@@ -724,7 +722,7 @@ mod tests {
         let b = families::directed_path(5); // arcs 0->1->2->3->4
         let e = b.vocabulary().id_of("E").unwrap();
         let mut idx = StructureIndex::new(&b);
-        let builds_before = index_build_count();
+        let before = meter::thread();
         let id_before = idx.id();
         assert_eq!(idx.version(), 0);
 
@@ -734,7 +732,8 @@ mod tests {
         assert!(!applied.is_noop());
         assert_eq!(idx.version(), 1);
         assert_eq!(idx.id(), id_before, "id survives mutation");
-        assert_eq!(index_build_count(), builds_before, "no rebuild");
+        let builds = meter::thread().since(&before)[Meter::IndexBuild];
+        assert_eq!(builds, 0, "no rebuild");
 
         assert!(!idx.contains(e, &[0, 1]));
         assert!(idx.contains(e, &[2, 4]));

@@ -26,7 +26,10 @@
 //! * boolean conjunctive queries ([`cq`]) and the Chandra–Merlin
 //!   correspondence between queries and structures;
 //! * the hand-rolled binary [`codec`] (`Encode` / `Decode`) behind the
-//!   persistent plan store of `cq_core::persist`.
+//!   persistent plan store of `cq_core::persist`;
+//! * the one work [`meter`] — per-thread and process-wide counts of the
+//!   expensive steps (core computations, exact width DPs, kernel program
+//!   compilations, index builds) that tests and benches assert on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,14 +43,13 @@ pub mod error;
 pub mod families;
 pub mod homomorphism;
 pub mod index;
+pub mod meter;
 pub mod ops;
 pub mod structure;
 pub mod vocabulary;
 pub mod weights;
 
-pub use crate::core::{
-    core_computation_count, core_of, global_core_computation_count, is_core, CoreComputation,
-};
+pub use crate::core::{core_of, is_core, CoreComputation};
 pub use builder::StructureBuilder;
 pub use cq::{Atom, ConjunctiveQuery};
 pub use delta::{AppliedDelta, DeltaBatch};
