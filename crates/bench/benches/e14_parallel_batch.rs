@@ -1,17 +1,17 @@
 //! E14 — parallel batch evaluation: scoped thread-pool fan-out speedup
-//! over the sequential path, and sharded-cache vs single-lock contention.
+//! over the sequential path, and plan-cache lock contention.
 //!
-//! Two sweeps, both printed as tables:
+//! Two tables:
 //!
 //! 1. **Worker sweep** — the same repeated-query trace through
 //!    `Engine::batch` over `solve` with `workers = 1, 2, 4, …`: wall-clock per
 //!    batch and speedup vs the sequential path.  On a 4+-core machine the
 //!    parallel rows must show ≥ 2x; on fewer cores the table degenerates
 //!    honestly (the fan-out costs nothing but buys nothing).
-//! 2. **Shard sweep** — 8 threads hammering one shared engine (warm cache,
-//!    every lookup a hit) with the shard count swept 1 → 16: per-lookup
-//!    cost under contention.  One shard serializes every lookup on a single
-//!    mutex; sharding spreads them.
+//! 2. **Warm-hit hammer** — one default engine (8 plan-cache shards), warm
+//!    cache, every lookup a hit, hammered from 1 thread and from 8: the
+//!    per-lookup cost of each row, and the 8-thread row's cost relative to
+//!    the 1-thread row, which is what lock contention adds.
 
 use cq_bench::median_time;
 use cq_core::{Engine, EngineConfig};
@@ -83,27 +83,26 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // ---- Shard sweep: cache-lock contention under concurrent lookups ----
-    // 8 threads, warm cache, every prepare() a hit: the measured cost is
-    // the shard mutex + slot scan.  distinct_query_fleet gives every
-    // fingerprint its own slot so single-lock contention is maximal.
-    const HAMMER_THREADS: usize = 8;
+    // ---- Warm-hit hammer: cache-lock contention under concurrent lookups ----
+    // Warm cache, every prepare() a hit: the measured cost is the shard
+    // mutex + slot scan.  distinct_query_fleet gives every fingerprint its
+    // own slot, spread over the default engine's 8 shards.
     const ROUNDS: usize = 40;
     let fleet: Vec<Structure> = distinct_query_fleet(16);
+    let engine = engine_with_workers(1);
+    for q in &fleet {
+        engine.prepare(q); // warm: all lookups below are hits
+    }
     println!(
-        "E14: shard sweep — {HAMMER_THREADS} threads x {ROUNDS} rounds of hits over {} cached plans",
+        "E14: warm-hit hammer — {ROUNDS} rounds of hits per thread over {} cached plans, default engine",
         fleet.len()
     );
-    println!("  shards | median hammer time | vs 1 shard");
-    let mut single_shard_time = None;
-    for shards in [1usize, 2, 4, 8, 16] {
-        let engine = engine_with_workers(1).with_cache_shards(shards);
-        for q in &fleet {
-            engine.prepare(q); // warm: all lookups below are hits
-        }
+    println!("  threads | median hammer time | per lookup | vs 1 thread");
+    let mut single_thread_lookup = None;
+    for threads in [1usize, 8] {
         let t = median_time(5, || {
             std::thread::scope(|s| {
-                for _ in 0..HAMMER_THREADS {
+                for _ in 0..threads {
                     s.spawn(|| {
                         for _ in 0..ROUNDS {
                             for q in &fleet {
@@ -114,14 +113,16 @@ fn bench(c: &mut Criterion) {
                 }
             });
         });
-        let baseline = *single_shard_time.get_or_insert(t);
+        let per_lookup = t / (threads * ROUNDS * fleet.len()) as u32;
+        let baseline = *single_thread_lookup.get_or_insert(per_lookup);
         println!(
-            "  {shards:>6} | {t:>18.3?} | {:>6.2}x",
-            baseline.as_secs_f64() / t.as_secs_f64()
+            "  {threads:>7} | {t:>18.3?} | {per_lookup:>10.3?} | {:>6.2}x",
+            per_lookup.as_secs_f64() / baseline.as_secs_f64()
         );
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits + stats.misses, stats.lookups);
     }
+    let stats = engine.cache_stats();
+    assert_eq!(stats.hits + stats.misses, stats.lookups);
+    assert_eq!(stats.misses, fleet.len() as u64, "the hammer only hits");
 
     // Accounting sanity printed like E13's closing lines: one warm pass.
     let engine = engine_with_workers(0);

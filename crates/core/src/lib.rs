@@ -65,6 +65,7 @@ pub mod aggregates;
 pub mod answers;
 pub mod counting;
 pub mod engine;
+mod lru;
 pub mod persist;
 pub mod prepared;
 pub mod service;
@@ -82,8 +83,8 @@ pub use persist::{
 };
 pub use prepared::PreparedQuery;
 pub use service::{
-    CacheStats, DeltaReport, Engine, IndexStats, PrepStats, QueryId, DEFAULT_CACHE_SHARDS,
-    DEFAULT_INDEX_CACHE_CAPACITY, DEFAULT_PLAN_CACHE_CAPACITY,
+    CacheStats, DeltaReport, Engine, IndexStats, PrepStats, QueryId, DEFAULT_INDEX_CACHE_CAPACITY,
+    DEFAULT_PLAN_CACHE_CAPACITY,
 };
 
 /// The degrees of the fine classification (Theorem 3.1, plus the

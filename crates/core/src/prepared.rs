@@ -33,6 +33,7 @@
 use crate::aggregates::AggregateObjective;
 use crate::counting::{CountMethod, CountOutcome};
 use crate::engine::{EngineConfig, SolverChoice};
+use crate::lru::{self, Lru};
 use crate::Degree;
 use cq_decomp::{PathDecomposition, StructuralAnalysis, WidthProfile};
 use cq_graphs::{gaifman_graph, Graph};
@@ -52,9 +53,8 @@ use cq_structures::{
 };
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Cap on memoized count-verified relabelled forms per plan (a client
-/// cycling more distinct orderings than this re-verifies the overflow
-/// ones).
+/// Memoized count-verified relabelled forms per plan (a client cycling
+/// more distinct orderings than this re-verifies the least recent ones).
 const MAX_COUNT_VERIFIED_ALIASES: usize = 16;
 
 /// Cap on compiled kernel-program bundles retained per plan — one bundle
@@ -97,7 +97,6 @@ const MAX_ANSWER_PROGRAMS: usize = 4;
 /// fleet of read-only databases pins no tables it could never patch.
 /// `try_lock` keeps concurrent evaluations wait-free: a contended caller
 /// falls back to a plain stateless pass.
-#[derive(Default)]
 struct IndexKernels {
     /// Indexed by [`Role`]; the counting entry stays empty when the
     /// counting role resolves to the decision slots.
@@ -114,9 +113,20 @@ struct IndexKernels {
     /// Compiled [`AnswerProgram`]s keyed by free-element list (declared
     /// order matters — it is the answer-column order).  A plan may serve
     /// answers under several free lists; each compiles its own pair of
-    /// answer DPs, MRU-retained up to
-    /// [`MAX_ANSWER_PROGRAMS`].
-    answers: Mutex<Vec<(Vec<Element>, Arc<AnswerProgram>)>>,
+    /// answer DPs, LRU-retained up to [`MAX_ANSWER_PROGRAMS`].
+    answers: Mutex<Lru<Vec<Element>, Arc<AnswerProgram>>>,
+}
+
+impl Default for IndexKernels {
+    fn default() -> IndexKernels {
+        IndexKernels {
+            roles: Default::default(),
+            stair: OnceLock::new(),
+            tree_decide_retained: Mutex::default(),
+            tree_count_retained: Mutex::default(),
+            answers: Mutex::new(Lru::new(MAX_ANSWER_PROGRAMS)),
+        }
+    }
 }
 
 /// The structure a program compiles: decision runs on the evaluated
@@ -206,10 +216,10 @@ pub struct PreparedQuery {
     /// same form cost a structural equality check instead of two
     /// exponential embedding searches per count (the counting analogue of
     /// the cache's decision-level alias memoization).
-    count_verified_aliases: Mutex<Vec<Structure>>,
+    count_verified_aliases: Mutex<Lru<Structure, ()>>,
     /// Compiled kernel programs per cached database index, keyed by
-    /// `(`[`StructureIndex::id`]`, `[`StructureIndex::domain_epoch`]`)` with
-    /// most-recently-used entries at the back — an in-place delta that grows
+    /// `(`[`StructureIndex::id`]`, `[`StructureIndex::domain_epoch`]`)` and
+    /// LRU-retained up to [`MAX_KERNEL_BUNDLES`] — an in-place delta that grows
     /// a position domain bumps the epoch and transparently recompiles, while
     /// same-epoch deltas keep every warm program (their baked domains remain
     /// sound supersets).  Each entry also holds the latest index state it
@@ -218,7 +228,7 @@ pub struct PreparedQuery {
     /// took other deltas) recompiles.  A runtime cache of compilation work,
     /// never persisted (a warm-started plan recompiles on first
     /// evaluation, exactly like a cold one).
-    kernels: Mutex<Vec<(KernelCacheKey, IndexState, Arc<IndexKernels>)>>,
+    kernels: Mutex<Lru<KernelCacheKey, (IndexState, Arc<IndexKernels>)>>,
 }
 
 /// Cache key for [`PreparedQuery`]'s per-index program bundles: the index's
@@ -262,8 +272,8 @@ impl PreparedQuery {
             sentence: OnceLock::new(),
             staircase: OnceLock::new(),
             counting: OnceLock::new(),
-            count_verified_aliases: Mutex::new(Vec::new()),
-            kernels: Mutex::new(Vec::new()),
+            count_verified_aliases: Mutex::new(Lru::new(MAX_COUNT_VERIFIED_ALIASES)),
+            kernels: Mutex::new(Lru::new(MAX_KERNEL_BUNDLES)),
         }
     }
 
@@ -386,27 +396,20 @@ impl PreparedQuery {
     /// compiled before a domain-growing delta keys under the old epoch and
     /// ages out of the LRU naturally; one last used at a state the index
     /// does not descend from ([`StructureIndex::descends_from`]) is
-    /// replaced.  A poisoned lock only means a panic elsewhere while the
-    /// list was held; the cached programs are still valid.
+    /// replaced.
     fn kernels_for(&self, index: &StructureIndex) -> Arc<IndexKernels> {
         let key = (index.id(), index.domain_epoch());
         let state = index.state();
-        let mut cache = self
-            .kernels
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(pos) = cache.iter().position(|(k, _, _)| *k == key) {
-            let (_, served, bundle) = cache.remove(pos);
-            if served == state || index.descends_from(served) {
-                cache.push((key, state, Arc::clone(&bundle))); // most-recently-used at the back
-                return bundle;
+        let mut cache = lru::lock(&self.kernels);
+        if let Some((served, bundle)) = cache.get(&key) {
+            if *served == state || index.descends_from(*served) {
+                *served = state;
+                return Arc::clone(bundle);
             }
+            cache.remove(&key);
         }
         let bundle = Arc::new(IndexKernels::default());
-        if cache.len() >= MAX_KERNEL_BUNDLES {
-            cache.remove(0); // least-recently-used at the front
-        }
-        cache.push((key, state, Arc::clone(&bundle)));
+        cache.insert(key, (state, Arc::clone(&bundle)));
         bundle
     }
 
@@ -525,22 +528,16 @@ impl PreparedQuery {
     /// decomposition (answers, like counts, are not core-invariant —
     /// projecting homomorphisms of the core onto free positions of the
     /// core would answer a different query).  Compiled on
-    /// first use and MRU-cached per free list on the index's kernel bundle.
+    /// first use and LRU-cached per free list on the index's kernel bundle.
     ///
     /// `free` must be the canonical-structure elements of the free
     /// variables in declared order, distinct; the engine validates this at
     /// the [`cq_structures::ConjunctiveQuery`] boundary.
     pub fn answer_program(&self, index: &StructureIndex, free: &[Element]) -> Arc<AnswerProgram> {
         let kernels = self.kernels_for(index);
-        let mut cache = kernels
-            .answers
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(pos) = cache.iter().position(|(f, _)| f == free) {
-            let entry = cache.remove(pos);
-            let program = Arc::clone(&entry.1);
-            cache.push(entry); // most-recently-used at the back
-            return program;
+        let mut cache = lru::lock(&kernels.answers);
+        if let Some(program) = cache.get(free) {
+            return Arc::clone(program);
         }
         let program = Arc::new(AnswerProgram::compile(
             &self.original,
@@ -548,10 +545,7 @@ impl PreparedQuery {
             &self.counting_analysis().tree_decomposition,
             free,
         ));
-        if cache.len() >= MAX_ANSWER_PROGRAMS {
-            cache.remove(0);
-        }
-        cache.push((free.to_vec(), Arc::clone(&program)));
+        cache.insert(free.to_vec(), Arc::clone(&program));
         program
     }
 
@@ -697,25 +691,18 @@ impl PreparedQuery {
         if candidate.universe_size() != self.original.universe_size() {
             return false;
         }
-        // A poisoned lock only means a panic elsewhere while the list was
-        // held; the memoized entries are still valid.
-        if self
-            .count_verified_aliases
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .contains(candidate)
+        if lru::lock(&self.count_verified_aliases)
+            .get(candidate)
+            .is_some()
         {
             return true;
         }
         let isomorphic = embedding_exists(candidate, &self.original)
             && embedding_exists(&self.original, candidate);
         if isomorphic {
-            let mut aliases = self
-                .count_verified_aliases
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if aliases.len() < MAX_COUNT_VERIFIED_ALIASES && !aliases.contains(candidate) {
-                aliases.push(candidate.clone());
+            let mut aliases = lru::lock(&self.count_verified_aliases);
+            if aliases.get(candidate).is_none() {
+                aliases.insert(candidate.clone(), ());
             }
         }
         isomorphic
@@ -769,8 +756,8 @@ impl Decode for PreparedQuery {
             sentence: lock_from(Option::<TreeDepthSentence>::decode(r)?),
             staircase: lock_from(Option::<PathDecomposition>::decode(r)?),
             counting: lock_from(Option::<StructuralAnalysis>::decode(r)?),
-            count_verified_aliases: Mutex::new(Vec::new()),
-            kernels: Mutex::new(Vec::new()),
+            count_verified_aliases: Mutex::new(Lru::new(MAX_COUNT_VERIFIED_ALIASES)),
+            kernels: Mutex::new(Lru::new(MAX_KERNEL_BUNDLES)),
         })
     }
 }
@@ -1016,9 +1003,9 @@ mod tests {
         };
         let bundle_of = |i: &StructureIndex| -> Arc<IndexKernels> {
             let cache = q.kernels.lock().unwrap();
-            let (_, _, bundle) = cache
+            let (_, (_, bundle)) = cache
                 .iter()
-                .find(|(key, _, _)| key.0 == i.id())
+                .find(|(key, _)| key.0 == i.id())
                 .expect("bundle cached");
             Arc::clone(bundle)
         };
@@ -1072,7 +1059,7 @@ mod tests {
             .lock()
             .unwrap()
             .iter()
-            .all(|(key, _, _)| key.0 != index.id()));
+            .all(|(key, _)| key.0 != index.id()));
         assert!(q.decide_via_tree(&index).exists);
         assert!(!Arc::ptr_eq(&bundle, &bundle_of(&index)));
     }
@@ -1142,9 +1129,9 @@ mod tests {
         let mut index = StructureIndex::new(&db);
         let bundle_of = |i: &StructureIndex| -> Arc<IndexKernels> {
             let cache = q.kernels.lock().unwrap();
-            let (_, _, bundle) = cache
+            let (_, (_, bundle)) = cache
                 .iter()
-                .find(|(key, _, _)| *key == (i.id(), i.domain_epoch()))
+                .find(|(key, _)| **key == (i.id(), i.domain_epoch()))
                 .expect("bundle cached under the current (id, epoch) key");
             Arc::clone(bundle)
         };

@@ -19,10 +19,11 @@
 //!
 //! Concurrency architecture:
 //!
-//! * the cache is **sharded** N ways by fingerprint hash
-//!   ([`Engine::with_cache_shards`], default [`DEFAULT_CACHE_SHARDS`]), each
-//!   shard an independently locked LRU, so concurrent lookups of different
-//!   queries do not contend on one mutex;
+//! * the plan and index caches are **sharded** by key hash, each shard an
+//!   independently locked LRU, so concurrent lookups of different queries
+//!   do not contend on one mutex.  The shard count follows the capacity,
+//!   `(capacity / 8).clamp(1, 8)`: 8 shards at both default capacities, and
+//!   one shard with exact LRU order for any capacity below 16;
 //! * preparation is **single-flight** per fingerprint: concurrent misses on
 //!   the same query serialize on a per-fingerprint latch, the loser re-reads
 //!   the winner's cached plan, and each distinct fingerprint is prepared
@@ -41,6 +42,7 @@ use crate::aggregates::{AggregateObjective, AggregateReport};
 use crate::answers::{AnswerCountReport, AnswerMethod, AnswerPage};
 use crate::counting::{CountMethod, CountOutcome, CountReport};
 use crate::engine::{EngineConfig, EngineReport, SolverChoice};
+use crate::lru::{self, Lru, ShardedLru};
 use crate::persist::{PersistError, PlanStore, WarmStartSummary};
 use crate::prepared::PreparedQuery;
 use crate::Degree;
@@ -62,17 +64,15 @@ use std::sync::{Arc, Mutex};
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Default number of cached plans across all shards
-/// ([`Engine::with_cache_capacity`] overrides).
+/// ([`Engine::with_cache_capacity`] overrides): 8 shards of 32.  Sharding
+/// trades exact global LRU order for an 8-fold cut in lock contention;
+/// per-shard LRU order is preserved.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
-
-/// Default number of cache shards ([`Engine::with_cache_shards`] overrides).
-/// Sharding trades exact global LRU order for an N-fold cut in lock
-/// contention; per-shard LRU order is preserved.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
 /// Default total capacity of the instance-index cache
 /// ([`Engine::with_index_cache_capacity`] overrides) — the number of
-/// database [`StructureIndex`]es kept hot across decide/count traffic.
+/// database [`StructureIndex`]es kept hot across decide/count traffic, in
+/// 8 shards of 8.
 pub const DEFAULT_INDEX_CACHE_CAPACITY: usize = 64;
 
 /// Handle to a query registered with an [`Engine`] (see
@@ -208,115 +208,38 @@ impl PrepCounters {
     }
 }
 
+/// A cached plan and the relabelled forms verified to share it.
 struct CacheSlot {
-    fingerprint: u64,
     plan: Arc<PreparedQuery>,
-    last_used: u64,
     /// Non-identical submitted forms (e.g. relabellings) already verified
     /// homomorphically equivalent to the plan's original — so repeat
     /// lookups of the same form cost a structural equality check instead of
-    /// two exponential homomorphism searches per solve.
-    verified_aliases: Vec<Structure>,
+    /// two exponential homomorphism searches per solve.  Beyond
+    /// [`MAX_VERIFIED_ALIASES`] forms the least recent is re-verified on
+    /// its next lookup.
+    verified_aliases: Lru<Structure, ()>,
 }
 
-/// Cap on memoized relabelled forms per cached plan (a client cycling more
-/// distinct orderings than this re-verifies the overflow ones).
+/// Memoized relabelled forms per cached plan.
 const MAX_VERIFIED_ALIASES: usize = 16;
 
 impl CacheSlot {
     fn matches(&mut self, candidate: &Structure) -> bool {
-        if *candidate == *self.plan.original() || self.verified_aliases.contains(candidate) {
+        if *candidate == *self.plan.original() || self.verified_aliases.get(candidate).is_some() {
             return true;
         }
         if self.plan.answers_for(candidate) {
-            if self.verified_aliases.len() < MAX_VERIFIED_ALIASES {
-                self.verified_aliases.push(candidate.clone());
-            }
+            self.verified_aliases.insert(candidate.clone(), ());
             return true;
         }
         false
     }
 }
 
-/// One independently locked shard: a small LRU over plans whose
-/// fingerprints hash here.  Hit/miss accounting lives in the sharded
-/// wrapper (atomics), so a shard is pure storage + recency.
+/// The sharded LRU plan cache keyed by fingerprint, its counters, and the
+/// per-fingerprint single-flight latches.
 struct PlanCache {
-    capacity: usize,
-    tick: u64,
-    slots: Vec<CacheSlot>,
-}
-
-impl PlanCache {
-    fn empty(capacity: usize) -> PlanCache {
-        PlanCache {
-            capacity,
-            tick: 0,
-            slots: Vec::new(),
-        }
-    }
-
-    fn find(&mut self, fingerprint: u64, candidate: &Structure) -> Option<Arc<PreparedQuery>> {
-        self.tick += 1;
-        let now = self.tick;
-        for slot in &mut self.slots {
-            if slot.fingerprint == fingerprint && slot.matches(candidate) {
-                slot.last_used = now;
-                return Some(Arc::clone(&slot.plan));
-            }
-        }
-        None
-    }
-
-    /// Insert a plan, returning the plans the LRU evicted to make room —
-    /// surrendered to the caller (rather than dropped here) so an engine
-    /// with an eviction store can persist them before the last `Arc` goes.
-    fn insert(&mut self, plan: Arc<PreparedQuery>) -> Vec<Arc<PreparedQuery>> {
-        if self.capacity == 0 {
-            return Vec::new();
-        }
-        let evicted = self.evict_down_to(self.capacity.saturating_sub(1));
-        self.tick += 1;
-        self.slots.push(CacheSlot {
-            fingerprint: plan.fingerprint(),
-            plan,
-            last_used: self.tick,
-            verified_aliases: Vec::new(),
-        });
-        evicted
-    }
-
-    /// Evict least-recently-used slots until at most `target` remain,
-    /// returning the evicted plans.
-    fn evict_down_to(&mut self, target: usize) -> Vec<Arc<PreparedQuery>> {
-        let mut evicted = Vec::new();
-        while self.slots.len() > target {
-            let pos = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            evicted.push(self.slots.swap_remove(pos).plan);
-        }
-        evicted
-    }
-}
-
-/// The N-way sharded plan cache: each shard an independent LRU behind its
-/// own mutex, plus process-shared counters and the per-fingerprint
-/// single-flight latches.
-struct ShardedPlanCache {
-    shards: Vec<Mutex<PlanCache>>,
-    /// The shard count the caller asked for.  The effective count
-    /// (`shards.len()`) is clamped so no shard's share of the capacity is
-    /// zero; the request is remembered so a later capacity change can
-    /// restore the full spread.
-    requested_shards: usize,
-    /// Total capacity across shards (shard `i` holds its proportional
-    /// share).
-    total_capacity: usize,
+    slots: ShardedLru<CacheSlot>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -326,38 +249,25 @@ struct ShardedPlanCache {
     /// once.  Entries live only while a preparation is in flight.
     in_flight: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
     /// Fingerprints of recently looked-up queries by [content
-    /// token](cq_structures::Structure::content_token), most recently used
-    /// at the back.  A token names one content state, so a repeat lookup
-    /// of the same structure (or a clone) skips the colour-refinement hash.
-    fingerprints: Mutex<Vec<(u64, u64)>>,
+    /// token](cq_structures::Structure::content_token).  A token names one
+    /// content state, so a repeat lookup of the same structure (or a clone)
+    /// skips the colour-refinement hash.
+    fingerprints: Mutex<Lru<u64, u64>>,
 }
 
 /// Entries of the plan cache's token-to-fingerprint memo.
 const FINGERPRINT_MEMO: usize = 64;
 
-impl ShardedPlanCache {
-    fn new(shard_count: usize, total_capacity: usize) -> ShardedPlanCache {
-        let requested = shard_count.max(1);
-        let effective = effective_shards(requested, total_capacity);
-        let shards = (0..effective)
-            .map(|i| {
-                Mutex::new(PlanCache::empty(shard_capacity(
-                    total_capacity,
-                    effective,
-                    i,
-                )))
-            })
-            .collect();
-        ShardedPlanCache {
-            shards,
-            requested_shards: requested,
-            total_capacity,
+impl PlanCache {
+    fn new(capacity: usize) -> PlanCache {
+        PlanCache {
+            slots: ShardedLru::new(capacity),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             in_flight: Mutex::new(HashMap::new()),
-            fingerprints: Mutex::new(Vec::new()),
+            fingerprints: Mutex::new(Lru::new(FINGERPRINT_MEMO)),
         }
     }
 
@@ -365,50 +275,39 @@ impl ShardedPlanCache {
     /// content state was fingerprinted before.  A disabled cache memoizes
     /// nothing.
     fn fingerprint(&self, query: &Structure) -> u64 {
-        if self.total_capacity == 0 {
+        if self.slots.capacity() == 0 {
             return query_fingerprint(query);
         }
         let token = query.content_token();
-        let mut memo = self.fingerprints.lock().expect("fingerprint memo lock");
-        if let Some(pos) = memo.iter().rposition(|&(t, _)| t == token) {
-            let entry = memo.remove(pos);
-            memo.push(entry); // most-recently-used at the back
-            return entry.1;
+        if let Some(&mut fingerprint) = lru::lock(&self.fingerprints).get(&token) {
+            return fingerprint;
         }
-        drop(memo);
         let fingerprint = query_fingerprint(query);
-        let mut memo = self.fingerprints.lock().expect("fingerprint memo lock");
-        if !memo.iter().any(|&(t, _)| t == token) {
-            if memo.len() >= FINGERPRINT_MEMO {
-                memo.remove(0); // least-recently-used at the front
-            }
-            memo.push((token, fingerprint));
+        let mut memo = lru::lock(&self.fingerprints);
+        if memo.get(&token).is_none() {
+            memo.insert(token, fingerprint);
         }
         fingerprint
     }
 
-    fn shard(&self, fingerprint: u64) -> &Mutex<PlanCache> {
-        &self.shards[(fingerprint % self.shards.len() as u64) as usize]
-    }
-
     fn find(&self, fingerprint: u64, candidate: &Structure) -> Option<Arc<PreparedQuery>> {
-        self.shard(fingerprint)
-            .lock()
-            .expect("cache shard lock")
-            .find(fingerprint, candidate)
+        self.slots
+            .shard(fingerprint)
+            .find(|&f, slot| f == fingerprint && slot.matches(candidate))
+            .map(|slot| Arc::clone(&slot.plan))
     }
 
-    /// Insert a plan, returning any plans the shard's LRU evicted (already
-    /// counted in the `evictions` stat) so the engine can persist them.
-    fn insert(&self, plan: Arc<PreparedQuery>) -> Vec<Arc<PreparedQuery>> {
-        let evicted = self
-            .shard(plan.fingerprint())
-            .lock()
-            .expect("cache shard lock")
-            .insert(plan);
-        self.evictions
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        evicted
+    /// Insert a plan, returning the plan the shard's LRU evicted (already
+    /// counted in the `evictions` stat) so the engine can persist it.
+    fn insert(&self, plan: Arc<PreparedQuery>) -> Option<Arc<PreparedQuery>> {
+        let fingerprint = plan.fingerprint();
+        let slot = CacheSlot {
+            plan,
+            verified_aliases: Lru::new(MAX_VERIFIED_ALIASES),
+        };
+        let (_, evicted) = self.slots.shard(fingerprint).insert(fingerprint, slot)?;
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        Some(evicted.plan)
     }
 
     fn stats(&self) -> CacheStats {
@@ -417,54 +316,8 @@ impl ShardedPlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("cache shard lock").slots.len())
-                .sum(),
+            entries: self.slots.len(),
         }
-    }
-
-    /// Rebuild with a new shard count and/or total capacity, rehashing the
-    /// surviving slots.  Requires exclusive access (`&mut`), so this is a
-    /// construction-time operation on the engine builder — no locks are
-    /// taken.  Recency order is preserved globally on re-insertion; slots
-    /// that no longer fit their new shard's share are evicted.
-    fn reconfigure(&mut self, shard_count: usize, total_capacity: usize) {
-        let requested = shard_count.max(1);
-        let effective = effective_shards(requested, total_capacity);
-        let mut slots: Vec<CacheSlot> = Vec::new();
-        for shard in &mut self.shards {
-            slots.append(&mut shard.get_mut().expect("cache shard lock").slots);
-        }
-        slots.sort_by_key(|s| s.last_used);
-        self.requested_shards = requested;
-        self.total_capacity = total_capacity;
-        self.shards = (0..effective)
-            .map(|i| {
-                Mutex::new(PlanCache::empty(shard_capacity(
-                    total_capacity,
-                    effective,
-                    i,
-                )))
-            })
-            .collect();
-        let mut evicted = (slots.len() as u64).saturating_sub(total_capacity as u64);
-        // Oldest first, so later (more recent) inserts are also the more
-        // recent entries of their new shard; keep only the newest
-        // `total_capacity` overall before distribution.  (Recency across
-        // old shards is compared by per-shard ticks — approximate, like the
-        // sharded LRU itself.)
-        let keep_from = slots.len().saturating_sub(total_capacity);
-        for slot in slots.drain(..).skip(keep_from) {
-            let index = (slot.fingerprint % effective as u64) as usize;
-            evicted += self.shards[index]
-                .get_mut()
-                .expect("cache shard lock")
-                .insert(slot.plan)
-                .len() as u64;
-        }
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 }
 
@@ -546,55 +399,26 @@ enum AnswerEval {
     BruteForce(Vec<Vec<Element>>),
 }
 
-struct IndexSlot {
-    hash: u64,
-    /// The index shares its database (`Arc<Structure>` inside
-    /// [`StructureIndex`]); hash matches are confirmed by full structural
-    /// equality against [`StructureIndex::structure`], so a collision
-    /// degrades to a rebuild, never a wrong index — and the slot holds no
-    /// second copy of the database.
-    index: Arc<StructureIndex>,
-    last_used: u64,
-}
-
-struct IndexShard {
-    capacity: usize,
-    tick: u64,
-    slots: Vec<IndexSlot>,
-}
-
-/// One entry of the content-token alias table: the `O(1)` fast path in
-/// front of the hash-keyed shards.  A [content
-/// token](cq_structures::Structure::content_token) is process-unique per
-/// content *state* — a token match implies content equality, so an alias
-/// hit serves the index without hashing the database.  The entry also
-/// remembers the shard hash its index is filed under, so the in-place
-/// delta path can take the slot out without rehashing either.
-struct IndexAlias {
-    token: u64,
-    hash: u64,
-    index: Arc<StructureIndex>,
-}
-
 /// The sharded **instance-index cache**: one [`StructureIndex`] per
 /// distinct database, shared (`Arc`) by every solver dispatch — decision
 /// and counting, across the batch fan-out's worker threads.  Keyed by
-/// [`structure_hash`] and confirmed by structural equality.
+/// [`structure_hash`] and confirmed by structural equality against
+/// [`StructureIndex::structure`], so a collision degrades to a rebuild,
+/// never a wrong index — and the cache holds no second copy of the
+/// database.
 struct InstanceIndexCache {
-    shards: Vec<Mutex<IndexShard>>,
-    /// The shard count the caller asked for (the instantiated count is
-    /// clamped so no shard has zero slots); remembered so a later capacity
-    /// change keeps the requested spread.
-    requested_shards: usize,
-    total_capacity: usize,
-    /// Token → index aliases, most-recently-used at the back, capped at
-    /// [`Self::alias_capacity`].  An entry can never go stale: it is
-    /// recorded only when its index content-equals the token's structure,
-    /// and an index is never mutated while *any* shared `Arc` to it exists
-    /// (the delta path takes the cache's references out first and clones
-    /// when a holdout remains), so whatever an alias serves is exactly the
-    /// content its token names.
-    aliases: Mutex<Vec<IndexAlias>>,
+    slots: ShardedLru<Arc<StructureIndex>>,
+    /// The `O(1)` fast path in front of the hash-keyed shards: [content
+    /// token](cq_structures::Structure::content_token) → (shard hash,
+    /// index), as many entries as the cache holds indexes.  A token is
+    /// process-unique per content *state*, so an alias hit serves the
+    /// index without hashing the database, and the in-place delta path
+    /// can take the slot out without rehashing either.  An entry can never
+    /// go stale: it is recorded only when its index content-equals the
+    /// token's structure, and an index is never mutated while *any* shared
+    /// `Arc` to it exists (the delta path takes the cache's references out
+    /// first and clones when a holdout remains).
+    aliases: Mutex<Lru<u64, (u64, Arc<StructureIndex>)>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -602,22 +426,10 @@ struct InstanceIndexCache {
 }
 
 impl InstanceIndexCache {
-    fn new(shard_count: usize, total_capacity: usize) -> InstanceIndexCache {
-        let requested = shard_count.max(1);
-        let effective = effective_shards(requested, total_capacity);
+    fn new(capacity: usize) -> InstanceIndexCache {
         InstanceIndexCache {
-            shards: (0..effective)
-                .map(|i| {
-                    Mutex::new(IndexShard {
-                        capacity: shard_capacity(total_capacity, effective, i),
-                        tick: 0,
-                        slots: Vec::new(),
-                    })
-                })
-                .collect(),
-            requested_shards: requested,
-            total_capacity,
-            aliases: Mutex::new(Vec::new()),
+            slots: ShardedLru::new(capacity),
+            aliases: Mutex::new(Lru::new(capacity)),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -625,50 +437,11 @@ impl InstanceIndexCache {
         }
     }
 
-    /// The alias table keeps one entry per cached index at most, so it is
-    /// bounded by the same knob as the shards themselves.
-    fn alias_capacity(&self) -> usize {
-        self.total_capacity
-    }
-
-    /// The token-alias fast path: a validated hit returns the index and its
-    /// shard hash without touching [`structure_hash`].
-    fn alias_lookup(&self, token: u64) -> Option<(u64, Arc<StructureIndex>)> {
-        let mut aliases = self.aliases.lock().expect("index alias lock");
-        let pos = aliases.iter().position(|a| a.token == token)?;
-        let entry = aliases.remove(pos);
-        let found = (entry.hash, Arc::clone(&entry.index));
-        aliases.push(entry); // most-recently-used at the back
-        Some(found)
-    }
-
-    /// Record (or refresh) the alias of a cached index, evicting the
-    /// least-recently-used entry beyond capacity.
+    /// Record (or refresh) the alias of a cached index.
     fn alias_record(&self, token: u64, hash: u64, index: &Arc<StructureIndex>) {
-        if self.alias_capacity() == 0 {
-            return;
-        }
-        let mut aliases = self.aliases.lock().expect("index alias lock");
-        if let Some(pos) = aliases.iter().position(|a| a.token == token) {
-            aliases.remove(pos);
-        } else if aliases.len() >= self.alias_capacity() {
-            aliases.remove(0); // least-recently-used at the front
-        }
-        aliases.push(IndexAlias {
-            token,
-            hash,
-            index: Arc::clone(index),
-        });
-    }
-
-    /// Drop the alias entry of `token` (the delta path retires the old
-    /// content state before mutating, so the mutation usually owns the only
-    /// remaining `Arc` and clones nothing).
-    fn alias_take(&self, token: u64) -> Option<(u64, Arc<StructureIndex>)> {
-        let mut aliases = self.aliases.lock().expect("index alias lock");
-        let pos = aliases.iter().position(|a| a.token == token)?;
-        let entry = aliases.remove(pos);
-        Some((entry.hash, entry.index))
+        let mut aliases = lru::lock(&self.aliases);
+        aliases.remove(&token);
+        aliases.insert(token, (hash, Arc::clone(index)));
     }
 
     /// [`structure_hash`] with its metering — every `O(|B|)` hash the cache
@@ -676,6 +449,13 @@ impl InstanceIndexCache {
     fn hashed(&self, database: &Structure) -> u64 {
         self.hash_computes.fetch_add(1, Ordering::Relaxed);
         structure_hash(database)
+    }
+
+    /// Count one lookup and whether it hit.
+    fn count(&self, hit: bool) {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let outcome = if hit { &self.hits } else { &self.misses };
+        outcome.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The cached index for `database`, building (and caching) it on first
@@ -688,100 +468,59 @@ impl InstanceIndexCache {
     /// presenting the same token is served from the alias table without
     /// rehashing the database (metered by [`IndexStats::hash_computes`]).
     fn get(&self, database: &Structure) -> Arc<StructureIndex> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        if self.total_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+        if self.slots.capacity() == 0 {
+            self.count(false);
             return Arc::new(StructureIndex::new(database));
         }
         let token = database.content_token();
-        if let Some((_, index)) = self.alias_lookup(token) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let alias = lru::lock(&self.aliases)
+            .get(&token)
+            .map(|(_, index)| Arc::clone(index));
+        if let Some(index) = alias {
+            self.count(true);
             return index;
         }
         let hash = self.hashed(database);
-        let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        {
-            let mut shard = shard.lock().expect("index shard lock");
-            shard.tick += 1;
-            let now = shard.tick;
-            if let Some(slot) = shard
-                .slots
-                .iter_mut()
-                .find(|s| s.hash == hash && s.index.structure() == database)
-            {
-                slot.last_used = now;
-                let index = Arc::clone(&slot.index);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.alias_record(token, hash, &index);
-                return index;
-            }
-        }
+        let same =
+            |&h: &u64, index: &Arc<StructureIndex>| h == hash && index.structure() == database;
+        let cached = self
+            .slots
+            .shard(hash)
+            .find(|h, index| same(h, index))
+            .map(|index| Arc::clone(index));
+        self.count(cached.is_some());
         // Build outside the lock so concurrent misses on *different*
         // databases of the same shard do not serialize on the build.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let index = Arc::new(StructureIndex::new(database));
-        let index = self.insert_slot(hash, index, Some(database));
-        self.alias_record(token, hash, &index);
-        index
-    }
-
-    /// File `index` into its shard under `hash`, evicting
-    /// least-recently-used slots beyond capacity.  When `racing_against` is
-    /// given and an equal index was inserted concurrently, the existing one
-    /// wins and is returned (ours is dropped).
-    fn insert_slot(
-        &self,
-        hash: u64,
-        index: Arc<StructureIndex>,
-        racing_against: Option<&Structure>,
-    ) -> Arc<StructureIndex> {
-        let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        let mut shard = shard.lock().expect("index shard lock");
-        if let Some(database) = racing_against {
-            if let Some(slot) = shard
-                .slots
-                .iter()
-                .find(|s| s.hash == hash && s.index.structure() == database)
-            {
+        let index = cached.unwrap_or_else(|| {
+            let built = Arc::new(StructureIndex::new(database));
+            let mut shard = self.slots.shard(hash);
+            match shard.find(|h, index| same(h, index)) {
                 // A racing builder beat us: share its index, drop ours.
-                return Arc::clone(&slot.index);
+                Some(raced) => Arc::clone(raced),
+                None => {
+                    shard.insert(hash, Arc::clone(&built));
+                    built
+                }
             }
-        }
-        while shard.slots.len() >= shard.capacity.max(1) {
-            let pos = shard
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            shard.slots.swap_remove(pos);
-        }
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.slots.push(IndexSlot {
-            hash,
-            index: Arc::clone(&index),
-            last_used: tick,
         });
+        self.alias_record(token, hash, &index);
         index
     }
 
     /// Apply a [`DeltaBatch`] to the cached index of `database` **in
     /// place**: look the index up as any dispatch would (indexing a
     /// database never seen before — the one exception to "no rebuild",
-    /// there is nothing to maintain yet), then hand it to
-    /// [`Self::apply_delta_owned`].  The batch is validated before any
-    /// lookup, so a refused batch leaves the cache exactly as it was and
-    /// never copies a shared index.
+    /// there is nothing to maintain yet), then mutate it as
+    /// [`Self::apply_delta_owned`] does.  The batch is validated before
+    /// any lookup, so a refused batch leaves the cache exactly as it was
+    /// and never copies a shared index.  Counts as one lookup.
     fn apply_delta(
         &self,
         database: &Structure,
         batch: &DeltaBatch,
     ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
         batch.validate(database)?;
-        self.apply_delta_owned(self.get(database), batch)
+        Ok(self.mutate(self.get(database), batch, false))
     }
 
     /// The chained form of [`Self::apply_delta`]: the caller hands back the
@@ -806,44 +545,47 @@ impl InstanceIndexCache {
         batch: &DeltaBatch,
     ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
         batch.validate(caller.structure())?;
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        Ok(self.mutate(caller, batch, true))
+    }
+
+    /// Apply a validated batch to `caller`'s index and re-file it under its
+    /// new content state, counting the lookup unless the caller already
+    /// did.
+    fn mutate(
+        &self,
+        caller: Arc<StructureIndex>,
+        batch: &DeltaBatch,
+        count_lookup: bool,
+    ) -> (Arc<StructureIndex>, Arc<AppliedDelta>) {
         let token = caller.structure().content_token();
-        let (hash, found) = if self.total_capacity == 0 {
+        let (hash, found) = if self.slots.capacity() == 0 {
             (None, false)
         } else {
             // Retire the pre-delta content state: take its alias (hashing
             // only when the alias was evicted) and unhook the shard slot
             // holding it, so the caller's Arc is normally the last one.
-            let hash = match self.alias_take(token) {
+            let alias = lru::lock(&self.aliases).remove(&token);
+            let hash = match alias {
                 Some((hash, _)) => hash,
                 None => self.hashed(caller.structure()),
             };
-            let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-            let mut guard = shard.lock().expect("index shard lock");
-            let slot = guard
-                .slots
-                .iter()
-                .position(|s| {
-                    Arc::ptr_eq(&s.index, &caller)
-                        || (s.hash == hash && s.index.structure() == caller.structure())
-                })
-                .map(|pos| guard.slots.swap_remove(pos));
+            let slot = self.slots.shard(hash).remove_where(|&h, index| {
+                Arc::ptr_eq(index, &caller)
+                    || (h == hash && index.structure() == caller.structure())
+            });
             (Some(hash), slot.is_some())
         };
-        let counter = if found { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if count_lookup {
+            self.count(found);
+        }
         let mut owned = Arc::try_unwrap(caller).unwrap_or_else(|shared| (*shared).clone());
         let applied = owned.apply_delta(batch).expect("batch validated above");
         let index = Arc::new(owned);
-        let index = match hash {
-            Some(hash) => {
-                let index = self.insert_slot(hash, index, None);
-                self.alias_record(index.structure().content_token(), hash, &index);
-                index
-            }
-            None => index,
-        };
-        Ok((index, applied))
+        if let Some(hash) = hash {
+            self.slots.shard(hash).insert(hash, Arc::clone(&index));
+            self.alias_record(index.structure().content_token(), hash, &index);
+        }
+        (index, applied)
     }
 
     fn stats(&self) -> IndexStats {
@@ -852,11 +594,7 @@ impl InstanceIndexCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             hash_computes: self.hash_computes.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("index shard lock").slots.len())
-                .sum(),
+            entries: self.slots.len(),
         }
     }
 }
@@ -878,21 +616,6 @@ impl Drop for LatchCleanup<'_> {
     }
 }
 
-/// The shard count actually instantiated for a requested count and total
-/// capacity: clamped so every shard's share is at least one slot —
-/// otherwise queries hashing into a zero-capacity shard would silently
-/// never be cached (a zero *total* capacity means caching is off and one
-/// pro-forma shard suffices).
-fn effective_shards(requested: usize, total_capacity: usize) -> usize {
-    requested.min(total_capacity.max(1))
-}
-
-/// Shard `index`'s share of the total capacity: `total / count`, with the
-/// remainder spread over the first `total % count` shards.
-fn shard_capacity(total: usize, count: usize, index: usize) -> usize {
-    total / count + usize::from(index < total % count)
-}
-
 /// The prepared-query evaluation engine: decision tier order + sharded
 /// plan cache + instance-index cache + one parallel batch form
 /// ([`Engine::batch`]) over the single-operation methods.  Decision
@@ -905,7 +628,7 @@ pub struct Engine {
     id: u64,
     config: EngineConfig,
     tiers: Vec<SolverChoice>,
-    cache: ShardedPlanCache,
+    cache: PlanCache,
     indexes: InstanceIndexCache,
     registered: Mutex<Vec<Arc<PreparedQuery>>>,
     prep: PrepCounters,
@@ -933,8 +656,8 @@ impl Engine {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             config,
             tiers: SolverChoice::STANDARD.to_vec(),
-            cache: ShardedPlanCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_PLAN_CACHE_CAPACITY),
-            indexes: InstanceIndexCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_INDEX_CACHE_CAPACITY),
+            cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
+            indexes: InstanceIndexCache::new(DEFAULT_INDEX_CACHE_CAPACITY),
             registered: Mutex::new(Vec::new()),
             prep: PrepCounters::default(),
             eviction: None,
@@ -959,51 +682,30 @@ impl Engine {
     }
 
     /// Override the plan cache's **total** capacity across shards (0
-    /// disables caching).  Shrinking below the current population evicts
-    /// least-recently-used plans immediately, so the new capacity holds from
-    /// this call on.
+    /// disables caching).  The shard count follows the capacity (see the
+    /// module docs).  Surviving plans move into the new shards; shrinking
+    /// below the current population evicts least-recently-used plans
+    /// immediately, so the new capacity holds from this call on.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Engine {
-        let shards = self.cache.requested_shards;
-        self.cache.reconfigure(shards, capacity);
+        let evicted = self.cache.slots.resize(capacity);
+        self.cache
+            .evictions
+            .fetch_add(evicted as u64, Ordering::Relaxed);
         self
     }
 
     /// Override the instance-index cache's **total** capacity across its
     /// shards (0 disables caching: every dispatch rebuilds the database
     /// index from scratch — the cold baseline of bench E16).  Cached
-    /// indexes are discarded; the shard spread requested earlier is kept.
+    /// indexes are discarded.
     pub fn with_index_cache_capacity(mut self, capacity: usize) -> Engine {
-        self.indexes = InstanceIndexCache::new(self.indexes.requested_shards, capacity);
-        self
-    }
-
-    /// Override the number of cache shards (minimum 1) for **both** the
-    /// plan cache and the instance-index cache.  More shards cut lock
-    /// contention under concurrent traffic at the price of partitioning
-    /// the LRU: eviction order is exact per shard, approximate globally.
-    /// Existing plans are rehashed into the new shards; cached database
-    /// indexes are discarded (construction-time builder, rebuilt on first
-    /// sight).
-    ///
-    /// The instantiated count is clamped to the total capacity so no shard
-    /// ends up with zero slots (see [`Engine::cache_shards`] for the
-    /// effective value); the request is remembered and takes full effect if
-    /// the capacity is later raised.
-    pub fn with_cache_shards(mut self, shards: usize) -> Engine {
-        let capacity = self.cache.total_capacity;
-        self.cache.reconfigure(shards, capacity);
-        self.indexes = InstanceIndexCache::new(shards, self.indexes.total_capacity);
+        self.indexes = InstanceIndexCache::new(capacity);
         self
     }
 
     /// The configuration this engine prepares and solves under.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The number of cache shards currently configured.
-    pub fn cache_shards(&self) -> usize {
-        self.cache.shards.len()
     }
 
     /// The worker count [`Engine::batch`] fans out to:
@@ -1036,7 +738,7 @@ impl Engine {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
             return plan;
         }
-        if self.cache.total_capacity == 0 {
+        if self.cache.slots.capacity() == 0 {
             // Caching disabled: no plan to share, so no latch either —
             // every call pays preparation.
             self.cache.misses.fetch_add(1, Ordering::Relaxed);
@@ -1044,7 +746,7 @@ impl Engine {
         }
         // Single-flight: serialize concurrent preparers of this fingerprint.
         let (latch, we_inserted) = {
-            let mut in_flight = self.cache.in_flight.lock().expect("in-flight lock");
+            let mut in_flight = lru::lock(&self.cache.in_flight);
             match in_flight.entry(fingerprint) {
                 Entry::Occupied(e) => (Arc::clone(e.get()), false),
                 Entry::Vacant(v) => {
@@ -1564,13 +1266,11 @@ impl Engine {
     fn snapshot_plans(&self) -> Vec<Arc<PreparedQuery>> {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        for shard in &self.cache.shards {
-            for slot in &shard.lock().expect("cache shard lock").slots {
-                if seen.insert(slot.plan.fingerprint()) {
-                    out.push(Arc::clone(&slot.plan));
-                }
+        self.cache.slots.for_each(|slot| {
+            if seen.insert(slot.plan.fingerprint()) {
+                out.push(Arc::clone(&slot.plan));
             }
-        }
+        });
         for plan in self.registered.lock().expect("registry lock").iter() {
             if seen.insert(plan.fingerprint()) {
                 out.push(Arc::clone(plan));
@@ -1652,7 +1352,7 @@ impl Engine {
             rejected: store.corrupt_records(),
         };
         let compatible =
-            store.config().plan_compatible(&self.config) && self.cache.total_capacity > 0;
+            store.config().plan_compatible(&self.config) && self.cache.slots.capacity() > 0;
         for record in store.records() {
             if !compatible {
                 summary.rejected += 1;
@@ -1748,29 +1448,26 @@ impl Engine {
         self
     }
 
-    /// Hand plans the LRU just evicted to the eviction sink (no-op without
+    /// Hand a plan the LRU just evicted to the eviction sink (no-op without
     /// one): upsert into the store image under its lock, then wake the
     /// background writer — the serving thread never touches the file.
-    fn persist_evicted(&self, evicted: Vec<Arc<PreparedQuery>>) {
-        let Some(sink) = &self.eviction else { return };
-        if evicted.is_empty() {
+    fn persist_evicted(&self, evicted: Option<Arc<PreparedQuery>>) {
+        let (Some(sink), Some(plan)) = (&self.eviction, evicted) else {
             return;
-        }
+        };
         {
             let mut store = sink
                 .store
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for plan in &evicted {
-                store.upsert_plan(plan);
-            }
+            store.upsert_plan(&plan);
             // Keep the image fingerprint-sorted so its bytes (and a later
             // `save_plans` merge) stay deterministic under eviction order.
             store.sort_by_fingerprint();
         }
         self.prep
             .plans_evicted_persisted
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            .fetch_add(1, Ordering::Relaxed);
         if let Some(tx) = sink
             .wake
             .lock()
@@ -1805,7 +1502,6 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("config", &self.config)
             .field("tiers", &self.tiers)
-            .field("cache_shards", &self.cache_shards())
             .field("cache", &self.cache_stats())
             .field("prep", &self.prep_stats())
             .finish()
@@ -1899,10 +1595,9 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used_plan() {
-        // One shard so global LRU order is exact (the property under test).
-        let engine = Engine::new(EngineConfig::default())
-            .with_cache_shards(1)
-            .with_cache_capacity(2);
+        // A capacity below 16 is one shard, so global LRU order is exact
+        // (the property under test).
+        let engine = Engine::new(EngineConfig::default()).with_cache_capacity(2);
         let a = families::star(3);
         let b = families::star(4);
         let c = families::star(5);
@@ -1936,7 +1631,7 @@ mod tests {
 
     #[test]
     fn shrinking_capacity_evicts_immediately_and_zero_disables() {
-        let engine = Engine::new(EngineConfig::default()).with_cache_shards(1);
+        let engine = Engine::new(EngineConfig::default());
         let t = families::clique(3);
         for legs in 3..8 {
             engine.solve(&families::star(legs), &t);
@@ -1959,20 +1654,19 @@ mod tests {
 
     #[test]
     fn sharded_cache_caps_total_entries() {
-        let engine = Engine::new(EngineConfig::default())
-            .with_cache_shards(4)
-            .with_cache_capacity(8);
+        let engine = Engine::new(EngineConfig::default()).with_cache_capacity(16);
+        assert_eq!(engine.cache.slots.shard_capacities(), [8, 8]);
         let t = families::clique(3);
         for legs in 3..20 {
             engine.solve(&families::star(legs), &t);
         }
         let stats = engine.cache_stats();
         assert!(
-            stats.entries <= 8,
+            stats.entries <= 16,
             "entries {} exceed total capacity",
             stats.entries
         );
-        assert!(stats.evictions > 0, "17 distinct plans into 8 slots");
+        assert!(stats.evictions > 0, "17 distinct plans into 16 slots");
         assert_eq!(stats.lookups, stats.hits + stats.misses);
     }
 
@@ -1982,7 +1676,10 @@ mod tests {
         let query = families::cycle(5);
         let plan = engine.prepare(&query);
         assert_eq!(plan.fingerprint(), query_fingerprint(&query));
-        let memo = |engine: &Engine| engine.cache.fingerprints.lock().unwrap().clone();
+        let memo = |engine: &Engine| -> Vec<(u64, u64)> {
+            let memo = lru::lock(&engine.cache.fingerprints);
+            memo.iter().map(|(&t, &f)| (t, f)).collect()
+        };
         assert_eq!(memo(&engine), [(query.content_token(), plan.fingerprint())]);
         // A clone shares the token: served from the memo, same plan.
         assert!(Arc::ptr_eq(&plan, &engine.prepare(&query.clone())));
@@ -2001,30 +1698,6 @@ mod tests {
         let cold = Engine::new(EngineConfig::default()).with_cache_capacity(0);
         cold.prepare(&query);
         assert!(memo(&cold).is_empty());
-    }
-
-    #[test]
-    fn resharding_rehashes_cached_plans_without_losing_them() {
-        let engine = Engine::new(EngineConfig::default())
-            .with_cache_shards(4)
-            .with_cache_capacity(8);
-        let t = families::clique(3);
-        let queries: Vec<Structure> = (3..7).map(families::star).collect();
-        for q in &queries {
-            engine.solve(q, &t);
-        }
-        assert_eq!(engine.cache_stats().entries, 4);
-        // 4 entries fit any single shard's share of 8, so every plan
-        // survives the rehash and every query still hits.
-        let engine = engine.with_cache_shards(2);
-        assert_eq!(engine.cache_shards(), 2);
-        assert_eq!(engine.cache_stats().entries, 4);
-        let hits_before = engine.cache_stats().hits;
-        for q in &queries {
-            engine.solve(q, &t);
-        }
-        assert_eq!(engine.cache_stats().hits, hits_before + 4);
-        assert_eq!(engine.prep_stats().preparations, 4);
     }
 
     #[test]
@@ -2212,23 +1885,23 @@ mod tests {
 
     #[test]
     fn small_total_capacity_never_zeroes_a_shard() {
-        // Capacity below the default shard count used to leave some shards
-        // with zero slots, silently disabling caching for every query
-        // hashing there.  The effective shard count is clamped instead.
-        let engine = Engine::new(EngineConfig::default()).with_cache_capacity(4);
-        assert_eq!(engine.cache_shards(), 4, "clamped from the default 8");
-        let t = families::clique(3);
-        let queries: Vec<Structure> = (3..7).map(families::star).collect();
-        for q in &queries {
-            engine.solve(q, &t);
-            engine.solve(q, &t);
+        // A zero-slot shard would silently disable caching for every key
+        // hashing there.  The shard count derives from the capacity, so
+        // every shard gets a share and the shares add up to the total.
+        for capacity in 0..=300 {
+            let shares = ShardedLru::<()>::new(capacity).shard_capacities();
+            assert_eq!(shares.len(), (capacity / 8).clamp(1, 8), "{capacity}");
+            assert_eq!(shares.iter().sum::<usize>(), capacity, "{capacity}");
+            assert!(capacity == 0 || shares.iter().all(|&s| s > 0), "{capacity}");
+            assert!(
+                capacity < 16 || shares.iter().all(|&s| s >= 8),
+                "{capacity}"
+            );
         }
-        let stats = engine.cache_stats();
-        assert_eq!(stats.misses, 4, "every query cached on first sight");
-        assert_eq!(stats.hits, 4, "every repeat served from the cache");
-        // Raising the capacity later restores the requested shard spread.
-        let engine = engine.with_cache_capacity(64);
-        assert_eq!(engine.cache_shards(), DEFAULT_CACHE_SHARDS);
+        // Both default capacities keep 8 shards.
+        let engine = Engine::new(EngineConfig::default());
+        assert_eq!(engine.cache.slots.shard_capacities(), [32; 8]);
+        assert_eq!(engine.indexes.slots.shard_capacities(), [8; 8]);
     }
 
     #[test]
@@ -2338,6 +2011,9 @@ mod tests {
         let mut batch = DeltaBatch::new();
         batch.delete(e, vec![0, 1]);
         let report = engine.apply_delta(&db, &batch).expect("valid batch");
+        let counted = engine.index_stats();
+        assert_eq!(counted.lookups, before.lookups + 1, "one delta, one lookup");
+        assert_eq!(counted.hits, before.hits + 1);
         assert_eq!(report.applied().deletions().len(), 1);
         assert!(report.version() > 0);
         let mutated = report.database().clone();
@@ -2427,6 +2103,11 @@ mod tests {
         let mut report = engine.apply_delta(&db, &batch).expect("valid batch");
         let id = report.index().id();
         let baseline = engine.index_stats();
+        assert_eq!(
+            (baseline.lookups, baseline.misses),
+            (1, 1),
+            "the first delta indexes the database in one lookup"
+        );
 
         // Toggle the edge back and forth through the chained form: same
         // index identity, monotone version, no build, no rehash.
@@ -2437,9 +2118,15 @@ mod tests {
             } else {
                 batch.delete(e, vec![0, 1]);
             }
+            let lookups = engine.index_stats().lookups;
             report = engine
                 .apply_delta_chained(report, &batch)
                 .expect("valid batch");
+            assert_eq!(
+                engine.index_stats().lookups,
+                lookups + 1,
+                "a chained delta is one lookup, like the `&Structure` form"
+            );
             assert_eq!(report.index().id(), id, "identity survives the chain");
             assert_eq!(report.version(), round + 2, "one version per round");
             assert_eq!(

@@ -18,10 +18,37 @@
 //! prepare the same plans.
 
 use cq_core::{CountReport, Engine, EngineConfig, EngineReport};
+use cq_structures::families;
 use cq_structures::{core_of, Structure};
-use cq_workloads::concurrent_query_traffic;
+use cq_workloads::{concurrent_query_traffic, BatchWorkload};
 
 const THREADS: usize = 8;
+
+/// Plan-cache capacity of the eviction-churn tests: the smallest that
+/// derives two shards (of 8), below the distinct queries of
+/// [`churn_instances`], so both shards churn.
+const CHURN_CAPACITY: usize = 16;
+
+/// 20 distinct queries of at most 9 vertices, cheap to prepare and count.
+fn churn_fleet() -> Vec<Structure> {
+    (2..10)
+        .map(families::directed_path)
+        .chain((4..10).map(families::path))
+        .chain((3..9).map(families::cycle))
+        .collect()
+}
+
+/// A thread's churn traffic: its workload's instances, then the
+/// [`churn_fleet`] against its first database, so more distinct queries
+/// than [`CHURN_CAPACITY`] compete for the cache.
+fn churn_instances<'a>(
+    w: &'a BatchWorkload,
+    fleet: &'a [Structure],
+) -> Vec<(&'a Structure, &'a Structure)> {
+    let mut instances = w.instances();
+    instances.extend(fleet.iter().map(|q| (q, &w.databases[0])));
+    instances
+}
 
 /// Reference answers computed on an isolated engine, sequentially.
 fn sequential_reference(instances: &[(&Structure, &Structure)]) -> Vec<EngineReport> {
@@ -164,7 +191,7 @@ fn mixed_decide_and_count_traffic_on_shared_fingerprints_stays_consistent() {
 
 #[test]
 fn counts_stay_stable_under_eviction_churn() {
-    // A deliberately tiny sharded cache under mixed decide/count traffic:
+    // A deliberately small two-shard cache under mixed decide/count traffic:
     // plans (and their counting certificates) are evicted and re-prepared
     // concurrently.  Exactly-once is off the table — bit-stable counts,
     // consistency and termination are not.
@@ -172,21 +199,23 @@ fn counts_stay_stable_under_eviction_churn() {
         workers: 2,
         ..EngineConfig::default()
     })
-    .with_cache_shards(2)
-    .with_cache_capacity(2);
+    .with_cache_capacity(CHURN_CAPACITY);
     let workloads = concurrent_query_traffic(THREADS, 2, 10, 4, 99);
+    let fleet = churn_fleet();
 
     std::thread::scope(|s| {
         for (i, w) in workloads.iter().enumerate() {
             if i % 2 == 0 {
                 s.spawn(|| {
-                    let counts = engine.batch(&w.instances(), |e, &(q, d)| e.count_instance(q, d));
-                    assert_eq!(counts, sequential_count_reference(&w.instances()));
+                    let instances = churn_instances(w, &fleet);
+                    let counts = engine.batch(&instances, |e, &(q, d)| e.count_instance(q, d));
+                    assert_eq!(counts, sequential_count_reference(&instances));
                 });
             } else {
                 s.spawn(|| {
-                    let reports = engine.batch(&w.instances(), |e, &(q, d)| e.solve(q, d));
-                    assert_eq!(reports, sequential_reference(&w.instances()));
+                    let instances = churn_instances(w, &fleet);
+                    let reports = engine.batch(&instances, |e, &(q, d)| e.solve(q, d));
+                    assert_eq!(reports, sequential_reference(&instances));
                 });
             }
         }
@@ -194,7 +223,11 @@ fn counts_stay_stable_under_eviction_churn() {
 
     let stats = engine.cache_stats();
     assert_eq!(stats.hits + stats.misses, stats.lookups);
-    assert!(stats.entries <= 2, "capacity bound holds under churn");
+    assert!(
+        stats.entries <= CHURN_CAPACITY,
+        "capacity bound holds under churn"
+    );
+    assert!(stats.evictions > 0, "the cache churned");
     let prep = engine.prep_stats();
     // Every cache miss that ran to completion is a preparation, and churn
     // re-materializes counting certificates at most once per preparation.
@@ -204,29 +237,34 @@ fn counts_stay_stable_under_eviction_churn() {
 
 #[test]
 fn stress_survives_an_eviction_churning_cache() {
-    // A deliberately tiny sharded cache under the same overlapping traffic:
+    // A deliberately small two-shard cache under the same overlapping traffic:
     // plans are evicted and re-prepared concurrently, so the exactly-once
     // invariant is off the table — consistency and termination are not.
     let engine = Engine::new(EngineConfig {
         workers: 2,
         ..EngineConfig::default()
     })
-    .with_cache_shards(2)
-    .with_cache_capacity(2);
+    .with_cache_capacity(CHURN_CAPACITY);
     let workloads = concurrent_query_traffic(THREADS, 2, 10, 4, 7);
+    let fleet = churn_fleet();
 
     std::thread::scope(|s| {
         for w in &workloads {
             s.spawn(|| {
-                let reports = engine.batch(&w.instances(), |e, &(q, d)| e.solve(q, d));
-                assert_eq!(reports, sequential_reference(&w.instances()));
+                let instances = churn_instances(w, &fleet);
+                let reports = engine.batch(&instances, |e, &(q, d)| e.solve(q, d));
+                assert_eq!(reports, sequential_reference(&instances));
             });
         }
     });
 
     let stats = engine.cache_stats();
     assert_eq!(stats.hits + stats.misses, stats.lookups);
-    assert!(stats.entries <= 2, "capacity bound holds under churn");
+    assert!(
+        stats.entries <= CHURN_CAPACITY,
+        "capacity bound holds under churn"
+    );
+    assert!(stats.evictions > 0, "the cache churned");
     // Every cache miss that ran to completion is a preparation.
     assert_eq!(engine.prep_stats().preparations, stats.misses);
 }
