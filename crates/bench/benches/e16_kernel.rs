@@ -9,8 +9,10 @@
 //!   tables, linear-scan frontier joins) vs the kernel hash-join DP;
 //! * `treedec_count` — the counting DP, reference vs kernel group-sum
 //!   joins, on the original-structure certificates;
-//! * `pathdp_decide` — the staircase sweep, PartialHom frontier vs flat
-//!   rows;
+//! * `pathdp_decide` — the path tier: the reference Theorem 4.6
+//!   staircase sweep (PartialHom frontier) vs the kernel tree DP over the
+//!   path-decomposition certificate, the program the engine's path tier
+//!   runs;
 //! * `forest_count` — the Theorem 6.1 (3) sum–product, universe scan vs
 //!   prefilter domains;
 //! * `backtrack_decide` — the propagating reference search vs the
@@ -35,7 +37,7 @@
 use cq_bench::{json_field_f64, median_time, quick_mode, timing_runs};
 use cq_core::{EngineConfig, PreparedQuery};
 use cq_solver::backtrack::BacktrackSolver as ReferenceBacktrack;
-use cq_solver::kernel::{ForestProgram, SearchProgram, StairProgram, TreeDpProgram};
+use cq_solver::kernel::{ForestProgram, SearchProgram, TreeDpProgram};
 use cq_structures::{Structure, StructureIndex};
 use cq_workloads::kernel_stress_traffic;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -174,8 +176,9 @@ fn bench(c: &mut Criterion) {
                 cq_solver::pathdp::hom_via_staircase(p.evaluated(), t, p.staircase()).exists as u64
             },
             |p, idx| {
-                StairProgram::compile(p.evaluated(), idx, p.staircase())
-                    .run(idx)
+                let td = p.analysis().path_decomposition.to_tree_decomposition();
+                TreeDpProgram::compile(p.evaluated(), idx, &td)
+                    .decide(idx)
                     .exists as u64
             },
         ),

@@ -9,7 +9,9 @@
 //!   same five evaluation paths E16 times (`treedec_decide`,
 //!   `treedec_count`, `pathdp_decide`, `forest_count`,
 //!   `backtrack_decide`), now running through the generic kernel at
-//!   `BoolSemiring` / `CheckedNatSemiring`.  The reported
+//!   `BoolSemiring` / `CheckedNatSemiring`.  `pathdp_decide` times the
+//!   path tier's program, the tree DP over the path-decomposition
+//!   certificate, against E16's staircase-sweep kernel.  The reported
 //!   `throughput_vs_e16` is checked-in-E16-warm-ms over measured-ms; the
 //!   refactor's acceptance bar is ≥ 0.9x on every row (genericity must
 //!   not cost more than 10%).
@@ -37,7 +39,7 @@
 
 use cq_bench::{json_field_f64, median_time, min_time, quick_mode, timing_runs};
 use cq_core::{EngineConfig, PreparedQuery};
-use cq_solver::kernel::{ForestProgram, SearchProgram, StairProgram, TreeDpProgram};
+use cq_solver::kernel::{ForestProgram, SearchProgram, TreeDpProgram};
 use cq_solver::{GroupTable, MaxWeightSemiring, MinCostSemiring};
 use cq_structures::{Structure, StructureIndex, TupleWeights};
 use cq_workloads::kernel_stress_traffic;
@@ -264,8 +266,9 @@ fn bench(c: &mut Criterion) {
                 .expect_finite()
         }),
         measure("pathdp_decide", &instances, &baseline, |p, idx, _| {
-            StairProgram::compile(p.evaluated(), idx, p.staircase())
-                .run(idx)
+            let td = p.analysis().path_decomposition.to_tree_decomposition();
+            TreeDpProgram::compile(p.evaluated(), idx, &td)
+                .decide(idx)
                 .exists as u64
         }),
         measure("forest_count", &instances, &baseline, |p, idx, _| {

@@ -26,8 +26,10 @@ pub enum SolverChoice {
     /// forest recursion over the elimination-forest certificate, `O(td)`
     /// images in memory.
     TreeDepth,
-    /// Path-decomposition sweep (PATH algorithm, Theorem 4.6) over the
-    /// staircase-normalized path decomposition.
+    /// Bounded pathwidth (PATH algorithm, Theorem 4.6): the kernel tree DP
+    /// over the path-decomposition certificate, a tree decomposition whose
+    /// tree is a path.  The Theorem 4.6 staircase sweep
+    /// ([`cq_solver::pathdp::hom_via_staircase`]) is its reference.
     PathDecomposition,
     /// Tree-decomposition dynamic programming (TREE algorithm) with
     /// per-edge separator hash-joins.
@@ -68,7 +70,7 @@ pub struct EngineConfig {
     pub use_core: bool,
     /// Tree-depth threshold below which the para-L algorithm is used.
     pub treedepth_threshold: usize,
-    /// Pathwidth threshold below which the path sweep is used.
+    /// Pathwidth threshold below which the path tier is used.
     pub pathwidth_threshold: usize,
     /// Treewidth threshold below which the tree DP is used.
     pub treewidth_threshold: usize,

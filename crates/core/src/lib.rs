@@ -25,10 +25,10 @@
 //!   - [`prepared`] / [`PreparedQuery`] — the once-per-query artifact (core,
 //!     Gaifman graph, width profile **with** decomposition certificates);
 //!   - [`engine`] / [`SolverChoice`] — the decision tier table: tree-depth
-//!     forest evaluation / path-decomposition sweep / tree-decomposition
-//!     DP / backtracking, each licensed by one width of the core, tried in
-//!     [`SolverChoice::STANDARD`] order; ablations (experiment E12) drop a
-//!     tier with [`Engine::without_tier`];
+//!     forest evaluation / tree DP over the path decomposition /
+//!     tree-decomposition DP / backtracking, each licensed by one width of
+//!     the core, tried in [`SolverChoice::STANDARD`] order; ablations
+//!     (experiment E12) drop a tier with [`Engine::without_tier`];
 //!   - [`counting`] / [`CountMethod`] — the Theorem 6.1 counting analogue:
 //!     the tree-decomposition counting DP or brute force
 //!     ([`CountMethod::for_widths`]), with the elimination-forest

@@ -138,9 +138,9 @@ impl<V> ShardedLru<V> {
 
     /// Re-split over the shards of a new `capacity`, moving the entries
     /// oldest first (interleaved by recency rank across the old shards) so
-    /// each new shard keeps its most recent ones.  Returns how many no
-    /// longer fit.
-    pub(crate) fn resize(&mut self, capacity: usize) -> usize {
+    /// each new shard keeps its most recent ones.  Returns the values that
+    /// no longer fit.
+    pub(crate) fn resize(&mut self, capacity: usize) -> Vec<V> {
         let mut ranked = Vec::new();
         for shard in self.shards.drain(..) {
             let lru = shard.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -152,7 +152,8 @@ impl<V> ShardedLru<V> {
         ranked
             .into_iter()
             .filter_map(|(_, (k, v))| self.shard(k).insert(k, v))
-            .count()
+            .map(|(_, v)| v)
+            .collect()
     }
 
     #[cfg(test)]
@@ -221,7 +222,9 @@ mod tests {
         for k in 0..40 {
             cache.shard(k).insert(k, k);
         }
-        assert_eq!(cache.resize(4), 36);
+        let mut evicted = cache.resize(4);
+        evicted.sort_unstable();
+        assert_eq!(evicted, (0..36).collect::<Vec<u64>>());
         assert_eq!(cache.shard_capacities(), [4]);
         let mut kept = Vec::new();
         cache.for_each(|&v| kept.push(v));

@@ -18,8 +18,10 @@
 //!
 //! * the Lemma 3.3 `{∧,∃}`-sentence (the tree-depth reference), compiled
 //!   from the elimination-forest certificate;
-//! * the staircase normal form of the path decomposition (path-sweep
-//!   tier);
+//! * the staircase normal form of the path decomposition — persisted only
+//!   as the input of the Theorem 4.6 reference sweep
+//!   ([`cq_solver::pathdp::hom_via_staircase`]); the path tier itself runs
+//!   the tree DP over the raw path decomposition;
 //! * the **counting certificates**: the structural analysis of the
 //!   *original* query.  Counting is **not** invariant under taking cores
 //!   (a query and its core have the same decision answer but different
@@ -40,8 +42,7 @@ use cq_graphs::{gaifman_graph, Graph};
 use cq_logic::canonical::query_fingerprint;
 use cq_logic::treedepth_sentence::{corresponding_sentence_with_forest, TreeDepthSentence};
 use cq_solver::kernel::{
-    AnswerProgram, ForestProgram, SearchProgram, StairProgram, TreeDpProgram, TreeDpRun,
-    TreeIncrementalState,
+    AnswerProgram, ForestProgram, SearchProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState,
 };
 use cq_solver::{
     BoolSemiring, CheckedNatSemiring, Cost, MaxWeightSemiring, MinCostSemiring, Nat, Semiring,
@@ -79,8 +80,9 @@ const MAX_ANSWER_PROGRAMS: usize = 4;
 /// recompiled when a delta grows a domain and bumps the epoch).
 ///
 /// There is one slot per program kind (tree, forest, search) per structure
-/// [`Role`]: decision programs compile the **evaluated** structure with
-/// the decision certificates, counting programs (counts, aggregates) the
+/// [`Role`], plus the path tier's tree DP over the path decomposition
+/// (decision only): decision programs compile the **evaluated** structure
+/// with the decision certificates, counting programs (counts, aggregates) the
 /// **original** with the counting certificates — counting is not
 /// core-invariant.  When the two coincide (the query is its own core, or
 /// core preprocessing is off) both roles resolve to the decision slots
@@ -101,7 +103,8 @@ struct IndexKernels {
     /// Indexed by [`Role`]; the counting entry stays empty when the
     /// counting role resolves to the decision slots.
     roles: [RolePrograms; 2],
-    stair: OnceLock<StairProgram>,
+    /// The tree DP over the decision path decomposition (the path tier).
+    path: OnceLock<TreeDpProgram>,
     /// Decision stays on [`bool`] deliberately: `CheckedNat` would make
     /// deltas patchable (⊖ exists), but it prices every *recomputed* bag
     /// at full counting arithmetic — measurably slower than Bool's
@@ -121,7 +124,7 @@ impl Default for IndexKernels {
     fn default() -> IndexKernels {
         IndexKernels {
             roles: Default::default(),
-            stair: OnceLock::new(),
+            path: OnceLock::new(),
             tree_decide_retained: Mutex::default(),
             tree_count_retained: Mutex::default(),
             answers: Mutex::new(Lru::new(MAX_ANSWER_PROGRAMS)),
@@ -165,7 +168,7 @@ impl std::fmt::Debug for IndexKernels {
         f.debug_struct("IndexKernels")
             .field("decision [tree, forest, search]", &self.roles[0].filled())
             .field("counting [tree, forest, search]", &self.roles[1].filled())
-            .field("stair", &self.stair.get().is_some())
+            .field("path", &self.path.get().is_some())
             .finish_non_exhaustive()
     }
 }
@@ -341,8 +344,9 @@ impl PreparedQuery {
     }
 
     /// The staircase normal form of the optimal path decomposition,
-    /// normalized on first use and cached (the Theorem 4.6 sweep consumes
-    /// staircase form).
+    /// normalized on first use and cached: the input of the Theorem 4.6
+    /// reference sweep ([`cq_solver::pathdp::hom_via_staircase`]).  The
+    /// path tier does not read it.
     pub fn staircase(&self) -> &PathDecomposition {
         self.staircase
             .get_or_init(|| self.analysis.path_decomposition.normalize_staircase())
@@ -551,12 +555,13 @@ impl PreparedQuery {
 
     /// Decide through one decision tier's kernel program on the
     /// **evaluated** structure, compiled on first use against this index
-    /// and reused afterwards: the forest recursion (tree depth), the
-    /// staircase sweep (pathwidth), the retained tree DP
-    /// ([`Self::decide_via_tree`]) or the whole-query search, whose element
-    /// order `fail_first` picks (ignored by the structural tiers).  The
-    /// caller picks the tier ([`SolverChoice::admits`]); every tier is
-    /// correct on every query, the licence only bounds its cost.
+    /// and reused afterwards: the forest recursion (tree depth), the tree
+    /// DP over the path decomposition (pathwidth), the retained tree DP
+    /// over the tree decomposition ([`Self::decide_via_tree`]) or the
+    /// whole-query search, whose element order `fail_first` picks
+    /// (ignored by the structural tiers).  The caller picks the tier
+    /// ([`SolverChoice::admits`]); every tier is correct on every query,
+    /// the licence only bounds its cost.
     pub fn decide(&self, choice: SolverChoice, index: &StructureIndex, fail_first: bool) -> bool {
         if choice == SolverChoice::TreeDecomposition {
             return self.decide_via_tree(index).exists;
@@ -568,10 +573,11 @@ impl PreparedQuery {
                 program.decide(index).exists
             }
             SolverChoice::PathDecomposition => {
-                let program = kernels.stair.get_or_init(|| {
-                    StairProgram::compile(&self.evaluated, index, self.staircase())
+                let program = kernels.path.get_or_init(|| {
+                    let td = self.analysis.path_decomposition.to_tree_decomposition();
+                    TreeDpProgram::compile(&self.evaluated, index, &td)
                 });
-                program.run(index).exists
+                program.decide(index).exists
             }
             _ => self.with_search(&kernels, Role::Decision, index, fail_first, |program| {
                 program.run(index).0.is_some()
@@ -1031,7 +1037,7 @@ mod tests {
         // only initialize once, so bundle identity across repeat traffic
         // proves no program was recompiled.
         let bundle = bundle_of(&index);
-        assert!(bundle.stair.get().is_some());
+        assert!(bundle.path.get().is_some());
         assert!(bundle.roles.iter().all(|r| r.filled() == [true; 3]));
         warm(&index);
         assert!(Arc::ptr_eq(&bundle, &bundle_of(&index)));

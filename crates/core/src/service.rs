@@ -665,7 +665,7 @@ impl Engine {
     }
 
     /// This engine minus one decision tier — the E12 ablation edit ("what
-    /// happens without the path sweep?"): queries the tier would have
+    /// happens without the path tier?"): queries the tier would have
     /// taken fall through to the next admitting tier.
     ///
     /// # Panics
@@ -685,12 +685,16 @@ impl Engine {
     /// disables caching).  The shard count follows the capacity (see the
     /// module docs).  Surviving plans move into the new shards; shrinking
     /// below the current population evicts least-recently-used plans
-    /// immediately, so the new capacity holds from this call on.
+    /// immediately, so the new capacity holds from this call on.  Evicted
+    /// plans reach the eviction store like any other eviction.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Engine {
         let evicted = self.cache.slots.resize(capacity);
         self.cache
             .evictions
-            .fetch_add(evicted as u64, Ordering::Relaxed);
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        for slot in evicted {
+            self.persist_evicted(Some(slot.plan));
+        }
         self
     }
 

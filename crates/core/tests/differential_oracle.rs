@@ -115,13 +115,14 @@ fn every_registry_solver_agrees_with_backtracking_on_the_corpus() {
 }
 
 /// Kernel-vs-reference oracle: every kernel evaluation path (indexed tree
-/// DP, staircase sweep, forest decision, whole-query search) must agree
-/// with the **retained reference implementation** of its tier on every
-/// corpus pair — the differential guarantee that lets the tiers
-/// dispatch to the kernel while the reference survives as ground truth.
+/// DP over the tree and over the path certificate, forest decision,
+/// whole-query search) must agree with the **retained reference
+/// implementation** of its tier on every corpus pair — the differential
+/// guarantee that lets the tiers dispatch to the kernel while the
+/// reference survives as ground truth.
 #[test]
 fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
-    use cq_solver::kernel::{ForestProgram, SearchProgram, StairProgram, TreeDpProgram};
+    use cq_solver::kernel::{ForestProgram, SearchProgram, TreeDpProgram};
     let config = oracle_config();
     let mut comparisons = 0usize;
     let mut disagreements = Vec::new();
@@ -157,11 +158,15 @@ fn kernel_solvers_agree_with_the_retained_references_on_the_corpus() {
         );
         comparisons += 1;
 
-        // Path sweep: kernel flat-row sweep vs the reference PartialHom
-        // frontier, on the same staircase.
-        let stair = prepared.staircase();
-        let kernel_path = StairProgram::compile(evaluated, &index, stair).run(&index);
-        let reference_path = cq_solver::pathdp::hom_via_staircase(evaluated, &target, stair);
+        // Path tier: kernel tree DP over the path certificate vs the
+        // reference Theorem 4.6 PartialHom frontier, on its staircase form.
+        let path_td = prepared
+            .analysis()
+            .path_decomposition
+            .to_tree_decomposition();
+        let kernel_path = TreeDpProgram::compile(evaluated, &index, &path_td).decide(&index);
+        let reference_path =
+            cq_solver::pathdp::hom_via_staircase(evaluated, &target, prepared.staircase());
         record(
             "PathDp",
             &label,

@@ -168,3 +168,37 @@ fn eviction_store_seeds_from_an_existing_image_without_clobbering() {
     };
     assert_eq!(fingerprints, sorted, "image stays fingerprint-sorted");
 }
+
+#[test]
+fn shrinking_the_cache_persists_the_plans_it_evicts() {
+    let path = store_path("shrink");
+    let _cleanup = TempStore(path.clone());
+    let config = EngineConfig::default();
+    let fleet = distinct_query_fleet(5);
+
+    let engine = Engine::new(config).with_eviction_store(&path);
+    let prepared: Vec<u64> = fleet
+        .iter()
+        .map(|q| engine.prepare(q).fingerprint())
+        .collect();
+    assert_eq!(engine.prep_stats().plans_evicted_persisted, 0);
+
+    let engine = engine.with_cache_capacity(2);
+    assert_eq!(engine.cache_stats().evictions, 3);
+    assert_eq!(
+        engine.prep_stats().plans_evicted_persisted,
+        3,
+        "a shrink hands its evictions to the eviction store"
+    );
+    drop(engine);
+
+    let store = PlanStore::read_from(&path).expect("eviction image on disk");
+    assert_eq!(store.corrupt_records(), 0);
+    let mut persisted: Vec<u64> = store.records().map(|r| r.fingerprint()).collect();
+    persisted.dedup();
+    assert_eq!(persisted.len(), 3, "exactly the 3 evicted plans");
+    assert!(
+        persisted.iter().all(|fp| prepared.contains(fp)),
+        "every persisted record is one of the prepared plans"
+    );
+}

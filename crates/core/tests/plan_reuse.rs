@@ -60,7 +60,7 @@ fn solving_a_prepared_query_recomputes_nothing() {
     let engine = Engine::new(EngineConfig::default());
     let queries = [
         families::star(4),                    // tree-depth solver
-        star_expansion(&families::path(6)),   // path sweep
+        star_expansion(&families::path(6)),   // path tier
         star_expansion(&families::tree_t(2)), // tree DP
         families::clique(4),                  // backtracking
     ];

@@ -17,9 +17,9 @@
 //!   [`StructureIndex`] posting lists), and constraints checked
 //!   **incrementally** the moment their last variable in the order is
 //!   assigned, so dead branches prune at depth 1 instead of the leaf;
-//! * **separator hash-joins** — the tree DP and the staircase sweep key
-//!   child/frontier tables on the projection onto the per-edge separator
-//!   (hoisted once per edge) through a flat packed-key [`GroupTable`]:
+//! * **separator hash-joins** — the tree DP keys child tables on the
+//!   projection onto the per-edge separator (hoisted once per edge)
+//!   through a flat packed-key [`GroupTable`]:
 //!   no per-row key allocation, one `u32` arena for every group key;
 //! * **index-driven candidate iteration** — when a depth's constraint has
 //!   exactly one unbound variable, the enumerator walks the posting list
@@ -28,12 +28,15 @@
 //!   search ([`SearchProgram`]) is the whole-query [`BagProgram`] in
 //!   fail-first order with O(1) tuple membership.
 //!
-//! **One DP, many semirings.**  There is exactly one tree DP, one
-//! staircase sweep, and one forest recursion in this module; each is
-//! generic over a [`Semiring`] and aggregates the sum over homomorphisms
-//! of the product of per-tuple factors.  Decision instantiates
-//! [`BoolSemiring`] (the absorbing element `⊤` reproduces the first-witness
-//! early exit), counting instantiates [`CheckedNatSemiring`] (overflow is a
+//! **One DP, many semirings.**  There is exactly one tree DP, one forest
+//! recursion and one whole-query search in this module.  A path
+//! decomposition is a tree decomposition whose tree is a path, so the
+//! bounded-pathwidth tier runs the tree DP over its path certificate; the
+//! Theorem 4.6 staircase sweep survives only as the reference
+//! [`crate::pathdp`].  Each program is generic over a [`Semiring`] and
+//! aggregates the sum over homomorphisms of the product of per-tuple
+//! factors.  Decision instantiates [`BoolSemiring`] (the absorbing
+//! element `⊤` reproduces the first-witness early exit), counting instantiates [`CheckedNatSemiring`] (overflow is a
 //! typed [`Nat::Overflow`], never a clamped number), and the weighted
 //! aggregates instantiate the tropical [`crate::semiring::MinCostSemiring`]
 //! / [`crate::semiring::MaxWeightSemiring`] over a
@@ -41,14 +44,14 @@
 //! weight factor exactly once per homomorphism: within a bag each
 //! constraint is anchored at one depth, and across bags exactly one bag
 //! **owns** each tuple's weight (the other bags still *check* it, for
-//! pruning) — the staircase and forest anchorings are unique by
-//! construction, and the tree DP claims each tuple for the first bag (in
-//! evaluation order) containing it.
+//! pruning) — the forest anchoring is unique by construction, and the
+//! tree DP claims each tuple for the first bag (in evaluation order)
+//! containing it.
 //!
 //! **Compile/run split.** Every kernel entry point factors into a
-//! *program* — [`TreeDpProgram`], [`StairProgram`], [`ForestProgram`],
-//! [`SearchProgram`] — compiled once per (query, index) pair, and a cheap
-//! `run` that executes it against the same index.  Compiled programs are
+//! *program* — [`TreeDpProgram`], [`ForestProgram`], [`SearchProgram`]
+//! — compiled once per (query, index) pair, and a cheap `run` that
+//! executes it against the same index.  Compiled programs are
 //! semiring-agnostic: one program serves decide, count, and every
 //! weighting.  A one-off evaluation is `compile` then `run`, e.g.
 //! `TreeDpProgram::compile(a, &index, &td).decide(&index)`; callers that
@@ -84,14 +87,13 @@
 //! themselves.  The reference implementations remain exported — they are
 //! the oracle the differential tests pit the kernel against.
 
-use cq_decomp::{EliminationForest, PathDecomposition, TreeDecomposition};
+use cq_decomp::{EliminationForest, TreeDecomposition};
 use cq_structures::meter::{self, Meter};
 use cq_structures::SymbolId;
 use cq_structures::{AppliedDelta, Element, IndexState, Structure, StructureIndex, TupleWeights};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use crate::pathdp::PathDpReport;
 use crate::semiring::{BoolSemiring, CheckedNatSemiring, Nat, Semiring};
 
 /// The number of kernel program compilations (one per
@@ -329,12 +331,6 @@ impl<V> GroupTable<V> {
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &V)> {
         (0..self.len()).map(move |g| (self.key(g), &self.values[g]))
     }
-
-    /// Dismantle into the flat key arena and the parallel values (the
-    /// frontier representation of the staircase sweep).
-    fn into_flat(self) -> (Vec<u32>, Vec<V>) {
-        (self.keys, self.values)
-    }
 }
 
 /// One compiled constraint: a query tuple translated to the target symbol,
@@ -389,7 +385,7 @@ impl BagProgram {
     /// be duplicate-free) into an evaluation program over the given order.
     /// Every compiled check owns its tuple's weight — correct whenever this
     /// program is the only one checking those tuples (whole-query search,
-    /// staircase steps, single bags).
+    /// single bags).
     pub fn compile(a: &Structure, doms: &QueryDomains, elems: &[Element]) -> BagProgram {
         BagProgram::compile_claiming(a, doms, elems, |_| true)
     }
@@ -2187,226 +2183,6 @@ impl TreeDpProgram {
     }
 }
 
-/// One step of a compiled staircase sweep.
-enum StairStep {
-    /// Project the frontier onto the surviving positions, ⊕-merging rows
-    /// that collide.
-    Forget {
-        /// Positions (in the pre-step order) of the surviving elements.
-        positions: Vec<u32>,
-    },
-    /// Extend every frontier row through a program whose first
-    /// `prefix_len` depths are pinned to the row.
-    Introduce {
-        program: BagProgram,
-        prefix_len: usize,
-    },
-}
-
-/// The kernel staircase sweep compiled against one `(query, index)` pair:
-/// the first-bag program plus the forget/introduce step sequence with all
-/// element-order bookkeeping resolved at compile time.
-///
-/// Each query tuple is checked exactly once across the sweep — in the
-/// introduce step assigning its last element (path-decomposition
-/// contiguity: elements never return once forgotten) — so every check
-/// owns its weight factor and the sweep is a sound ⊕/⊗ evaluation for any
-/// semiring, not just decision.  Reference:
-/// [`crate::pathdp::hom_via_staircase`].
-pub struct StairProgram {
-    index_id: u64,
-    satisfiable: bool,
-    bags: usize,
-    width: usize,
-    init: BagProgram,
-    steps: Vec<StairStep>,
-}
-
-impl StairProgram {
-    /// Compile the sweep for `a` over a staircase path decomposition
-    /// against the indexed target.
-    pub fn compile(a: &Structure, index: &StructureIndex, stair: &PathDecomposition) -> Self {
-        debug_assert!(stair.is_staircase());
-        let doms = QueryDomains::compile(a, index);
-        let mut order: Vec<Element> = match stair.bags.first() {
-            Some(first) => first.iter().copied().collect(),
-            None => Vec::new(),
-        };
-        let init = BagProgram::compile(a, &doms, &order);
-        let mut steps = Vec::new();
-        if doms.satisfiable {
-            for window in stair.bags.windows(2) {
-                let (prev, next) = (&window[0], &window[1]);
-                if next.is_subset(prev) {
-                    let keep: Vec<Element> = next.iter().copied().collect();
-                    let positions: Vec<u32> = keep
-                        .iter()
-                        .map(|e| order.iter().position(|x| x == e).expect("next ⊆ prev") as u32)
-                        .collect();
-                    order = keep;
-                    steps.push(StairStep::Forget { positions });
-                } else {
-                    let new_elems: Vec<Element> = next.difference(prev).copied().collect();
-                    let mut next_order = order.clone();
-                    next_order.extend(new_elems.iter().copied());
-                    let program = BagProgram::compile(a, &doms, &next_order);
-                    steps.push(StairStep::Introduce {
-                        program,
-                        prefix_len: order.len(),
-                    });
-                    order = next_order;
-                }
-            }
-        }
-        StairProgram {
-            index_id: index.id(),
-            satisfiable: doms.satisfiable,
-            bags: stair.bags.len(),
-            width: stair.width(),
-            init,
-            steps,
-        }
-    }
-
-    /// The identity of the index this program was compiled against.
-    pub fn index_id(&self) -> u64 {
-        self.index_id
-    }
-
-    /// Decide `HOM(A, B)` — the [`BoolSemiring`] instantiation of
-    /// [`StairProgram::eval`], packaged as the sweep report.
-    pub fn run(&self, index: &StructureIndex) -> PathDpReport {
-        let (exists, peak_frontier) = self.eval::<BoolSemiring>(index, None);
-        PathDpReport {
-            exists,
-            peak_frontier,
-            bags: self.bags,
-            width: self.width,
-        }
-    }
-
-    /// Count homomorphisms by the sweep — the [`CheckedNatSemiring`]
-    /// instantiation (the frontier values are partial-hom counts).
-    pub fn count(&self, index: &StructureIndex) -> Nat {
-        self.eval::<CheckedNatSemiring>(index, None).0
-    }
-
-    /// The generic staircase sweep: the frontier is a flat row table with
-    /// one semiring value per row (the ⊕-aggregate over all partial
-    /// homomorphisms projecting to the row); forget steps group-sum,
-    /// introduce steps extend with pinned prefixes.  Returns the final
-    /// ⊕-total and the peak frontier size.
-    pub fn eval<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        weights: Option<&TupleWeights>,
-    ) -> (S::Value, usize) {
-        debug_assert_eq!(index.id(), self.index_id, "program run on a foreign index");
-        let mut peak = 0usize;
-        if !self.satisfiable {
-            return (S::zero(), peak);
-        }
-        // The frontier: rows of `stride` elements, one value per row.
-        let mut frontier: BagTable<S::Value> = BagTable {
-            stride: self.init.elems.len(),
-            rows: Vec::new(),
-            values: Vec::new(),
-        };
-        {
-            let f = &mut frontier;
-            run_program::<S>(
-                &self.init,
-                index,
-                weights,
-                &[],
-                &mut |row, acc| {
-                    if !S::is_zero(&acc) {
-                        f.rows.extend_from_slice(row);
-                        f.values.push(acc);
-                    }
-                    false
-                },
-                S::one(),
-            );
-        }
-        peak = peak.max(frontier.len());
-        if frontier.len() == 0 {
-            return (S::zero(), peak);
-        }
-
-        for step in &self.steps {
-            match step {
-                StairStep::Forget { positions } => {
-                    let (rows, values) = frontier.group_sums::<S>(positions).into_flat();
-                    frontier = BagTable {
-                        stride: positions.len(),
-                        rows,
-                        values,
-                    };
-                }
-                StairStep::Introduce {
-                    program,
-                    prefix_len,
-                } => {
-                    // Constraints fully inside the old bag were checked
-                    // when it was built; only checks anchored at the new
-                    // depths run.  Distinct old rows extend to distinct
-                    // full rows, so no merging is needed.
-                    let prefix_len = *prefix_len;
-                    let new_stride = program.elems.len();
-                    let mut new_frontier: BagTable<S::Value> = BagTable {
-                        stride: new_stride,
-                        rows: Vec::new(),
-                        values: Vec::new(),
-                    };
-                    let mut row = vec![0u32; new_stride];
-                    let mut args = Vec::with_capacity(program.max_arity);
-                    let mut key = Vec::new();
-                    let mut scratch = vec![Vec::new(); new_stride];
-                    let joins_at: Vec<Vec<usize>> = vec![Vec::new(); new_stride.max(1)];
-                    for i in 0..frontier.len() {
-                        row[..prefix_len].copy_from_slice(frontier.row(i));
-                        let nf = &mut new_frontier;
-                        enumerate::<S>(
-                            program,
-                            index,
-                            weights,
-                            &joins_at,
-                            &[],
-                            prefix_len,
-                            &mut row,
-                            &mut args,
-                            &mut key,
-                            &frontier.values[i],
-                            &mut scratch,
-                            &mut |full, acc| {
-                                if !S::is_zero(&acc) {
-                                    nf.rows.extend_from_slice(full);
-                                    nf.values.push(acc);
-                                }
-                                false
-                            },
-                        );
-                    }
-                    frontier = new_frontier;
-                }
-            }
-            peak = peak.max(frontier.len());
-            if frontier.len() == 0 {
-                return (S::zero(), peak);
-            }
-        }
-        let mut total = S::zero();
-        for v in &frontier.values {
-            total = S::add(&total, v);
-            if S::is_add_absorbing(&total) {
-                break;
-            }
-        }
-        (total, peak)
-    }
-}
-
 /// The forest topology and per-node constraints of a compiled forest
 /// evaluation: for each node, the tuples of the query whose deepest
 /// element in the forest it is (all other elements are ancestors, hence
@@ -2785,6 +2561,7 @@ mod tests {
     use cq_decomp::pathwidth::pathwidth_of_structure;
     use cq_decomp::treedepth::treedepth_exact;
     use cq_decomp::treewidth::treewidth_of_structure;
+    use cq_decomp::PathDecomposition;
     use cq_graphs::gaifman_graph;
     use cq_structures::{
         count_homomorphisms_bruteforce, families, homomorphism_exists, homomorphisms_iter,
@@ -2864,35 +2641,46 @@ mod tests {
     }
 
     #[test]
-    fn staircase_sweep_matches_reference() {
+    fn path_tree_dp_matches_staircase_reference() {
+        // The tree DP roots a path certificate at bag 0, so it runs the
+        // path from its far end: the reference sweeps the reversed
+        // staircase, whose frontier on each bag holds every partial
+        // homomorphism of the bags swept so far.
         for (a, b) in pairs() {
             let (_, pd) = pathwidth_of_structure(&a);
-            let stair = pd.normalize_staircase();
+            let td = pd.to_tree_decomposition();
+            let reversed = PathDecomposition {
+                bags: pd.bags.iter().rev().cloned().collect(),
+            };
+            let stair = reversed.normalize_staircase();
             let index = StructureIndex::new(&b);
-            let kernel = StairProgram::compile(&a, &index, &stair).run(&index);
+            let kernel = TreeDpProgram::compile(&a, &index, &td).decide(&index);
             let reference = crate::pathdp::hom_via_staircase(&a, &b, &stair);
             assert_eq!(kernel.exists, reference.exists, "{a} -> {b}");
-            assert_eq!(kernel.bags, reference.bags);
-            assert_eq!(kernel.width, reference.width);
-            // The kernel prefilter can only shrink the frontier.
+            // Normalization only interleaves bags: the sweep visits every
+            // bag the DP does, at the same width.
+            assert!(td.bags.len() <= reference.bags);
+            assert_eq!(td.width(), reference.width);
+            // Each DP bag table is the prefiltered subset of the frontier
+            // on that bag, so it can only be smaller.
             assert!(
-                kernel.peak_frontier <= reference.peak_frontier,
-                "kernel frontier grew on {a} -> {b}"
+                kernel.peak_table <= reference.peak_frontier,
+                "kernel table grew on {a} -> {b}"
             );
         }
     }
 
     #[test]
-    fn staircase_counting_matches_bruteforce() {
-        // The generic sweep counts: every atom is checked exactly once
-        // across the staircase, so the frontier values are partial-hom
-        // counts.
+    fn path_tree_dp_counting_matches_bruteforce() {
+        // A path certificate is a tree decomposition, so the tree DP
+        // counts over it: exactly one bag owns each atom's factor.
         for (a, b) in pairs() {
             let (_, pd) = pathwidth_of_structure(&a);
-            let stair = pd.normalize_staircase();
             let index = StructureIndex::new(&b);
             assert_eq!(
-                StairProgram::compile(&a, &index, &stair).count(&index),
+                TreeDpProgram::compile(&a, &index, &pd.to_tree_decomposition())
+                    .count(&index)
+                    .count,
                 count_homomorphisms_bruteforce(&a, &b),
                 "{a} -> {b}"
             );
@@ -3105,8 +2893,9 @@ mod tests {
 
     #[test]
     fn weighted_aggregates_match_bruteforce_on_every_tier() {
-        // Min-cost and max-weight through all four program shapes against
-        // the structure-agnostic reference enumeration, with non-uniform
+        // Min-cost and max-weight through every program shape (the tree DP
+        // over both its tree and its path certificate) against the
+        // structure-agnostic reference enumeration, with non-uniform
         // deterministic weights.  Exercises weight ownership: the tree DP
         // shares tuples between bags and must emit each weight exactly
         // once.
@@ -3119,7 +2908,7 @@ mod tests {
             let index = StructureIndex::new(&b);
             let (_, td) = treewidth_of_structure(&a);
             let (_, pd) = pathwidth_of_structure(&a);
-            let stair = pd.normalize_staircase();
+            let path_td = pd.to_tree_decomposition();
             let g = gaifman_graph(&a);
             let (_, forest) = treedepth_exact(&g);
 
@@ -3138,11 +2927,11 @@ mod tests {
                 "tree max-weight on {a} -> {b}"
             );
             assert_eq!(
-                StairProgram::compile(&a, &index, &stair)
+                TreeDpProgram::compile(&a, &index, &path_td)
                     .eval::<MinCostSemiring>(&index, Some(&weights))
                     .0,
                 expected_min,
-                "stair min-cost on {a} -> {b}"
+                "path min-cost on {a} -> {b}"
             );
             assert_eq!(
                 ForestProgram::compile(&a, &index, &forest).eval::<MinCostSemiring>(
@@ -3176,8 +2965,8 @@ mod tests {
 
     #[test]
     fn astronomical_counts_surface_as_typed_overflow() {
-        // #hom(P_12, K_64) = 64 · 63^11 ≈ 6.2e21 > u64::MAX — the tree DP
-        // and the staircase sweep must report Overflow, not a clamped or
+        // #hom(P_12, K_64) = 64 · 63^11 ≈ 6.2e21 > u64::MAX — the tree DP,
+        // over either certificate, must report Overflow, not a clamped or
         // wrapped number.
         let p12 = families::path(12);
         let k64 = families::clique(64);
@@ -3188,7 +2977,9 @@ mod tests {
         assert!(run.exists, "overflowed counts still certify existence");
         let (_, pd) = pathwidth_of_structure(&p12);
         assert_eq!(
-            StairProgram::compile(&p12, &index, &pd.normalize_staircase()).count(&index),
+            TreeDpProgram::compile(&p12, &index, &pd.to_tree_decomposition())
+                .count(&index)
+                .count,
             Nat::Overflow
         );
 
@@ -3298,8 +3089,8 @@ mod tests {
         );
         let (_, pd) = pathwidth_of_structure(&q);
         assert!(
-            !StairProgram::compile(&q, &index, &pd.normalize_staircase())
-                .run(&index)
+            !TreeDpProgram::compile(&q, &index, &pd.to_tree_decomposition())
+                .decide(&index)
                 .exists
         );
         let g = gaifman_graph(&q);
@@ -3391,16 +3182,15 @@ mod tests {
         let index = StructureIndex::new(&b);
         let (_, td) = treewidth_of_structure(&a);
         let (_, pd) = pathwidth_of_structure(&a);
-        let stair = pd.normalize_staircase();
         let g = gaifman_graph(&a);
         let (_, forest) = treedepth_exact(&g);
 
         let tree = TreeDpProgram::compile(&a, &index, &td);
-        let stairp = StairProgram::compile(&a, &index, &stair);
+        let path = TreeDpProgram::compile(&a, &index, &pd.to_tree_decomposition());
         let forestp = ForestProgram::compile(&a, &index, &forest);
         let search = SearchProgram::compile(&a, &index, true);
         assert_eq!(tree.index_id(), index.id());
-        assert_eq!(stairp.index_id(), index.id());
+        assert_eq!(path.index_id(), index.id());
         assert_eq!(forestp.index_id(), index.id());
         assert_eq!(search.index_id(), index.id());
 
@@ -3420,8 +3210,8 @@ mod tests {
                 tree.eval::<MinCostSemiring>(&index, Some(&weights)).0,
                 Some(2 * a.tuple_count() as u64)
             );
-            assert!(stairp.run(&index).exists);
-            assert_eq!(stairp.count(&index), expected);
+            assert!(path.decide(&index).exists);
+            assert_eq!(path.count(&index).count, expected);
             assert_eq!(forestp.count(&index).count, expected);
             assert!(forestp.decide(&index).exists);
             assert!(search.run(&index).0.is_some());
@@ -3452,8 +3242,8 @@ mod tests {
         );
         let (_, pd) = pathwidth_of_structure(&a);
         assert!(
-            StairProgram::compile(&a, &index, &pd.normalize_staircase())
-                .run(&index)
+            TreeDpProgram::compile(&a, &index, &pd.to_tree_decomposition())
+                .decide(&index)
                 .exists
         );
         // A star query: the centre is bound first, the leaves all drive

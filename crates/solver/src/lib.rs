@@ -8,7 +8,7 @@
 //! | property of the query (core) | decision algorithm | counting algorithm |
 //! |---|---|---|
 //! | bounded tree depth | [`treedepth::hom_via_treedepth`] (compile to a `{∧,∃}`-sentence of bounded rank and model-check it in pl-space, Lemma 3.3) | [`treedepth::count_hom_via_treedepth`] (sum–product over the elimination forest, Theorem 6.1 (3)) |
-//! | bounded pathwidth | [`pathdp::hom_via_path_decomposition`] (sweep a staircase path decomposition keeping one partial homomorphism frontier, Theorem 4.6) | via the tree DP |
+//! | bounded pathwidth | [`pathdp::hom_via_path_decomposition`] (sweep a staircase path decomposition keeping one partial homomorphism frontier, Theorem 4.6); the kernel runs the tree DP over the path decomposition instead | via the tree DP |
 //! | bounded treewidth | [`treedec::hom_via_tree_decomposition`] (bottom-up DP over a tree decomposition) | [`treedec::count_hom_via_tree_decomposition`] |
 //! | none (baseline) | [`backtrack::BacktrackSolver`] (backtracking + arc consistency) | brute-force enumeration |
 //!
@@ -18,10 +18,12 @@
 //! versions — have dedicated solvers in [`problems`].
 //!
 //! The table above names the **reference** implementations; the [`kernel`]
-//! module provides the indexed, flat-row production counterparts of each
+//! module provides the indexed, flat-row production counterparts
 //! (compiled bag programs, prefilter domains, separator hash-joins) that
-//! the engine's tiers actually dispatch to — the reference versions
-//! are retained as the oracle the kernel is differentially tested against.
+//! the engine's tiers actually dispatch to: one tree DP, which serves the
+//! pathwidth and treewidth rows alike, one forest recursion and one
+//! search.  The reference versions are retained as the oracle the kernel
+//! is differentially tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +44,7 @@ pub use domains::{arc_consistency, initial_domains, Domains};
 pub use kernel::{
     bag_rows_indexed, program_compilation_count, AnswerCursor, AnswerProgram, BagProgram,
     ForestProgram, ForestRun, GroupTable, KernelSearchStats, QueryDomains, RetainedEvalStats,
-    SearchProgram, StairProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState, ViableDomains,
+    SearchProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState, ViableDomains,
 };
 pub use pathdp::{hom_via_path_decomposition, hom_via_staircase, PathDpReport};
 pub use problems::{has_k_cycle, has_k_path, st_path_at_most};
